@@ -165,7 +165,7 @@ if [[ "${TSAN}" == 1 ]]; then
   # worker triangle are exactly the lifetimes TSan should walk.
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerRegistry|EngineSelection|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer'
+    -R 'AnalyzerConformance|FullSstaWhatIf|AnalyzerRegistry|EngineSelection|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"

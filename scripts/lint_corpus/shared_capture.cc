@@ -8,6 +8,12 @@ namespace util {
 template <typename Body>
 void parallel_for(std::size_t total, std::size_t chunk, std::size_t threads, Body&& body);
 }
+namespace sta {
+struct LevelSchedule {};
+template <typename Body>
+void run_levels(LevelSchedule schedule, const char* site, std::size_t threads,
+                std::size_t cutoff, std::size_t chunk, Body&& body);
+}
 
 void racy_push_back(std::size_t n) {
   std::vector<double> results;
@@ -65,5 +71,13 @@ void waived_shared(std::size_t n, std::vector<double>& bins) {
       // lint-ok: shared-mutable-capture corpus example of a justified waiver
       bins.resize(end);
     }
+  });
+}
+
+// The level schedule's bodies are worker bodies too.
+void racy_level_body(sta::LevelSchedule schedule) {
+  std::vector<int> visited;
+  sta::run_levels(schedule, "corpus/level", 4, 16, 1, [&](int id) {
+    visited.push_back(id);  // expect-lint: shared-mutable-capture
   });
 }

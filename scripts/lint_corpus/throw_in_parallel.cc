@@ -12,9 +12,8 @@ void parallel_for(std::size_t total, std::size_t chunk, std::size_t threads, Bod
 }
 namespace sta {
 template <typename Body>
-void run_wavefront_level(const std::vector<int>& level, std::size_t width,
-                         std::size_t cutoff, std::size_t chunk, std::size_t threads,
-                         Body&& body);
+void run_wavefront_level(const std::vector<int>& level, std::size_t cutoff,
+                         std::size_t chunk, std::size_t threads, Body&& body);
 }
 
 void throwing_worker(std::size_t n, const std::vector<double>& in) {
@@ -28,7 +27,7 @@ void throwing_worker(std::size_t n, const std::vector<double>& in) {
 }
 
 void throwing_wavefront(const std::vector<int>& level, const std::vector<double>& in) {
-  sta::run_wavefront_level(level, level.size(), 16, 64, 0, [&](std::size_t i) {
+  sta::run_wavefront_level(level, 16, 64, 0, [&](std::size_t i) {
     if (in[i] < 0.0) {
       throw std::logic_error("negative");  // expect-lint: throw-in-parallel
     }

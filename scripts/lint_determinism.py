@@ -31,21 +31,30 @@ break it before they ever reach a test:
                           allowed.
 
   shared-mutable-capture  An inline by-reference-capturing lambda handed to
-                          parallel_for / run_wavefront_level whose body grows
-                          a captured container (push_back / emplace_back /
-                          insert / ...) or compound-assigns a captured
-                          scalar. Worker bodies must write per-slot
+                          parallel_for / run_wavefront_level / run_levels
+                          whose body grows a captured container (push_back /
+                          emplace_back / insert / ...) or compound-assigns a
+                          captured scalar. Worker bodies must write per-slot
                           (v[i] = ...) or into per-chunk locals merged after
                           the join.
 
   throw-in-parallel       A throw expression inside an inline lambda handed
-                          to parallel_for / run_wavefront_level. An exception
-                          escaping a pool worker is std::terminate (and even
-                          a caught-and-rethrown one races the other workers
-                          for which failure wins), so the abort behavior
-                          depends on thread scheduling. Record the failure in
-                          a per-slot status and fail deterministically after
-                          the join.
+                          to parallel_for / run_wavefront_level / run_levels.
+                          An exception escaping a pool worker is
+                          std::terminate (and even a caught-and-rethrown one
+                          races the other workers for which failure wins),
+                          so the abort behavior depends on thread scheduling.
+                          Record the failure in a per-slot status and fail
+                          deterministically after the join.
+
+  unsequenced-draws       Two util::Rng draws (.normal( / .uniform( /
+                          .index( / .flip() in one full expression. C++
+                          leaves the evaluation order of most operands and
+                          of function arguments unspecified, so which draw
+                          consumes the stream first is up to the compiler,
+                          and every sampled value after it can change with
+                          a compiler or flag change. Draw into named locals,
+                          one statement per draw.
 
 Waivers: append `// lint-ok: <rule-id> <justification>` to the offending
 line (or place it on the immediately preceding line). The justification is
@@ -70,7 +79,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 RULES = ("rng-stray", "unordered-iter", "stdout-io", "shared-mutable-capture",
-         "throw-in-parallel")
+         "throw-in-parallel", "unsequenced-draws")
 
 # Files exempt from specific rules: the façade a rule funnels everything into
 # is the one legitimate user of the forbidden pattern.
@@ -159,6 +168,29 @@ def check_rng(path_rel: str, code: str, findings: list, path: Path) -> None:
                 path, line_of(code, m.start()), "rng-stray",
                 f"{what}: non-reproducible randomness; draw through util::Rng / "
                 f"util::stream_seed (util/rng.h) instead"))
+
+
+# ---------------------------------------------------------------------------
+# rule: unsequenced-draws
+# ---------------------------------------------------------------------------
+
+DRAW_RE = re.compile(r"(?:\.|->)\s*(?:normal|uniform|index|flip)\s*\(")
+FULL_EXPR_END_RE = re.compile(r"[;{}]")
+
+
+def check_unsequenced_draws(path_rel: str, code: str, findings: list, path: Path) -> None:
+    if path_rel in RNG_EXEMPT:
+        return
+    start = 0
+    for end in [m.start() for m in FULL_EXPR_END_RE.finditer(code)] + [len(code)]:
+        draws = list(DRAW_RE.finditer(code, start, end))
+        if len(draws) > 1:
+            findings.append(Finding(
+                path, line_of(code, draws[1].start()), "unsequenced-draws",
+                f"{len(draws)} Rng draws in one full expression: their evaluation "
+                f"order is unspecified, so the stream order depends on the "
+                f"compiler; draw into named locals, one statement per draw"))
+        start = end + 1
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +283,8 @@ def check_unordered(code: str, findings: list, path: Path) -> None:
 # rule: shared-mutable-capture
 # ---------------------------------------------------------------------------
 
-PARALLEL_CALL_RE = re.compile(r"\b(?:util\s*::\s*)?(?:parallel_for|run_wavefront_level)\s*\(")
+PARALLEL_CALL_RE = re.compile(
+    r"\b(?:util\s*::\s*|sta\s*::\s*)?(?:parallel_for|run_wavefront_level|run_levels)\s*\(")
 GROWTH_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*\.\s*(push_back|emplace_back|emplace|insert|erase|clear|resize)\s*\(")
 COMPOUND_RE = re.compile(
@@ -384,6 +417,7 @@ def lint_file(path: Path, root: Path) -> list:
     check_unordered(code, findings, path)
     check_shared_capture(code, findings, path)
     check_throw_in_parallel(code, findings, path)
+    check_unsequenced_draws(rel, code, findings, path)
 
     # Apply waivers (same line or the immediately preceding line). A waiver
     # without a justification is converted into its own finding.

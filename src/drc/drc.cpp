@@ -320,7 +320,7 @@ void append_electrical(const sta::TimingContext& ctx, const DrcOptions& options,
   const netlist::Levelization& lv = ctx.levelization();
   for (std::size_t l = 0; l < lv.level_count(); ++l) {
     const std::span<const GateId> level = lv.level(l);
-    sta::run_wavefront_level(level, level.size(), options.min_level_width_for_parallel,
+    sta::run_wavefront_level(level, options.min_level_width_for_parallel,
                              /*chunk=*/64, options.threads, [&](const GateId id) {
                                electrical_body(ctx, options, id, slots[id]);
                              });

@@ -28,34 +28,26 @@ NodeMoments Engine::stat_max(const NodeMoments& a, const NodeMoments& b) const {
   return NodeMoments{r.mean, std::sqrt(r.var)};
 }
 
-std::vector<NodeMoments> Engine::run(NodeMoments* circuit) const {
+template <typename ArcsOf>
+NodeMoments Engine::sweep(std::vector<NodeMoments>& arrival, ArcsOf&& arcs_of) const {
   const auto& nl = ctx_.netlist();
-  std::vector<NodeMoments> arrival(nl.node_count());
-
-  for (const GateId id : ctx_.topo_order()) {
+  const auto arrival_of = [&](GateId f) -> const NodeMoments& { return arrival[f]; };
+  sta::run_levels(ctx_.full_schedule(), "fassta/run/level", [&](GateId id) {
     const auto& g = nl.gate(id);
-    if (g.fanins.empty()) continue;  // PI/constant: arrival (0, 0)
-    NodeMoments acc;
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      const NodeMoments& in = arrival[g.fanins[i]];
-      const double d = ctx_.arc_delay_ps(id, i);
-      const double s = ctx_.arc_sigma_ps(id, i);
-      const NodeMoments through{in.mean_ps + d,
-                                std::sqrt(in.sigma_ps * in.sigma_ps + s * s)};
-      acc = (i == 0) ? through : stat_max(acc, through);
-    }
-    arrival[id] = acc;
-  }
+    if (g.fanins.empty()) return;  // PI/constant: arrival (0, 0)
+    arrival[id] = gate_arrival(g, arrival_of, arcs_of(id));
+  });
+  return circuit_arrival(arrival_of);
+}
 
-  if (circuit != nullptr) {
-    NodeMoments out{0.0, 0.0};
-    bool first = true;
-    for (const auto& po : nl.outputs()) {
-      out = first ? arrival[po.driver] : stat_max(out, arrival[po.driver]);
-      first = false;
-    }
-    *circuit = out;
-  }
+std::vector<NodeMoments> Engine::run(NodeMoments* circuit) const {
+  std::vector<NodeMoments> arrival(ctx_.netlist().node_count());
+  const NodeMoments out = sweep(arrival, [this](GateId id) {
+    return [this, id](std::size_t i) {
+      return NodeMoments{ctx_.arc_delay_ps(id, i), ctx_.arc_sigma_ps(id, i)};
+    };
+  });
+  if (circuit != nullptr) *circuit = out;
   return arrival;
 }
 
@@ -68,19 +60,14 @@ sta::NodeMoments Engine::run_with_candidate(GateId center,
 sta::NodeMoments Engine::run_with_candidate(GateId center, const liberty::Cell& candidate,
                                             Scratch& scratch) const {
   const auto& nl = ctx_.netlist();
-  std::vector<NodeMoments>& arrival = scratch.arrival;
-  arrival.assign(nl.node_count(), NodeMoments{});
-
-  for (const GateId id : ctx_.topo_order()) {
-    const auto& g = nl.gate(id);
-    if (g.fanins.empty()) continue;
-
+  scratch.arrival.assign(nl.node_count(), NodeMoments{});
+  return sweep(scratch.arrival, [&](GateId id) {
     const bool is_center = (id == center);
     // Drivers of the center see a load delta; everything else is snapshot.
     double load = ctx_.load_ff(id);
     bool perturbed = is_center;
     if (!is_center) {
-      const auto& outs = g.fanouts;
+      const auto& outs = nl.gate(id).fanouts;
       if (std::find(outs.begin(), outs.end(), center) != outs.end()) {
         load = ctx_.load_ff_with_resize(id, center, candidate);
         perturbed = (load != ctx_.load_ff(id));
@@ -88,28 +75,12 @@ sta::NodeMoments Engine::run_with_candidate(GateId center, const liberty::Cell& 
     }
     const liberty::Cell* cell = nullptr;
     if (perturbed) cell = is_center ? &candidate : &ctx_.cell(id);
-
-    NodeMoments acc;
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      const NodeMoments& in = arrival[g.fanins[i]];
-      const double d =
-          perturbed ? ctx_.arc_delay_with(id, i, *cell, load) : ctx_.arc_delay_ps(id, i);
-      const double s =
-          perturbed ? ctx_.sigma_for(*cell, d) : ctx_.arc_sigma_ps(id, i);
-      const NodeMoments through{in.mean_ps + d,
-                                std::sqrt(in.sigma_ps * in.sigma_ps + s * s)};
-      acc = (i == 0) ? through : stat_max(acc, through);
-    }
-    arrival[id] = acc;
-  }
-
-  NodeMoments out{0.0, 0.0};
-  bool first = true;
-  for (const auto& po : nl.outputs()) {
-    out = first ? arrival[po.driver] : stat_max(out, arrival[po.driver]);
-    first = false;
-  }
-  return out;
+    return [this, id, cell, load](std::size_t i) {
+      if (cell == nullptr) return NodeMoments{ctx_.arc_delay_ps(id, i), ctx_.arc_sigma_ps(id, i)};
+      const double d = ctx_.arc_delay_with(id, i, *cell, load);
+      return NodeMoments{d, ctx_.sigma_for(*cell, d)};
+    };
+  });
 }
 
 std::vector<NodeMoments> Engine::compute_downstream() const {
@@ -127,11 +98,9 @@ std::vector<NodeMoments> Engine::compute_downstream() const {
       const auto& cg = nl.gate(consumer);
       for (std::size_t i = 0; i < cg.fanins.size(); ++i) {
         if (cg.fanins[i] != id) continue;
-        const double d = ctx_.arc_delay_ps(consumer, i);
-        const double s = ctx_.arc_sigma_ps(consumer, i);
-        const NodeMoments& cd = down[consumer];
-        const NodeMoments through{cd.mean_ps + d,
-                                  std::sqrt(cd.sigma_ps * cd.sigma_ps + s * s)};
+        const NodeMoments through = stat_sum(
+            down[consumer],
+            NodeMoments{ctx_.arc_delay_ps(consumer, i), ctx_.arc_sigma_ps(consumer, i)});
         acc = first ? through : stat_max(acc, through);
         first = false;
       }
@@ -191,41 +160,27 @@ SubcircuitCost Engine::evaluate_candidate(const netlist::Subcircuit& sc,
         load = ctx_.load_ff_with_resize(id, center, candidate);
       }
     }
-
-    NodeMoments acc;
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      const NodeMoments in = arrival_of(g.fanins[i]);
-      // Recompute the arc delay only where the candidate perturbs it; reuse
-      // the snapshot everywhere else (this is what makes FASSTA fast).
-      double d = 0.0;
-      if (is_center || load != ctx_.load_ff(id)) {
-        d = ctx_.arc_delay_with(id, i, cell, load);
-      } else {
-        d = ctx_.arc_delay_ps(id, i);
-      }
-      const double s = ctx_.sigma_for(cell, d);
-      const NodeMoments through{in.mean_ps + d,
-                                std::sqrt(in.sigma_ps * in.sigma_ps + s * s)};
-      acc = (i == 0) ? through : stat_max(acc, through);
-    }
-    local[gi] = acc;
+    // Recompute the arc delay only where the candidate perturbs it; reuse
+    // the snapshot everywhere else (this is what makes FASSTA fast).
+    const bool perturbed = is_center || load != ctx_.load_ff(id);
+    local[gi] = gate_arrival(g, arrival_of, [&](std::size_t i) {
+      const double d =
+          perturbed ? ctx_.arc_delay_with(id, i, cell, load) : ctx_.arc_delay_ps(id, i);
+      return NodeMoments{d, ctx_.sigma_for(cell, d)};
+    });
   }
 
   SubcircuitCost result;
   bool first = true;
   for (const GateId out : sc.outputs) {
-    const NodeMoments m = local[local_index[out]];
     // Project the window output to the primary outputs: local arrival plus
     // the node's downstream potential (independent path segments => RSS).
-    const NodeMoments& d = downstream[out];
-    const double mean = m.mean_ps + d.mean_ps;
-    const double sigma =
-        std::sqrt(m.sigma_ps * m.sigma_ps + d.sigma_ps * d.sigma_ps);
-    const double cost = mean + lambda * sigma;
+    const NodeMoments m = stat_sum(local[local_index[out]], downstream[out]);
+    const double cost = m.mean_ps + lambda * m.sigma_ps;
     if (first || cost > result.cost) {
       result.cost = cost;
-      result.worst_mean_ps = mean;
-      result.worst_sigma_ps = sigma;
+      result.worst_mean_ps = m.mean_ps;
+      result.worst_sigma_ps = m.sigma_ps;
       first = false;
     }
   }

@@ -16,6 +16,7 @@
 // contracts").
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -64,6 +65,42 @@ class Engine {
   /// Pure function of its arguments — safe from any thread.
   [[nodiscard]] sta::NodeMoments stat_max(const sta::NodeMoments& a,
                                           const sta::NodeMoments& b) const;
+
+  /// Sum of two independent Gaussian moment pairs: an arrival through an arc
+  /// (or a window output's local arrival through its downstream potential).
+  [[nodiscard]] static sta::NodeMoments stat_sum(const sta::NodeMoments& a,
+                                                 const sta::NodeMoments& b) {
+    return sta::NodeMoments{a.mean_ps + b.mean_ps,
+                            std::sqrt(a.sigma_ps * a.sigma_ps + b.sigma_ps * b.sigma_ps)};
+  }
+
+  /// The one per-gate kernel: gate @p g's arrival moments (g has fanins) as
+  /// the stat_max fold, in fanin order, of stat_sum(arrival_of(fanin i),
+  /// arc_of(i)), where arc_of(i) gives arc i's delay moments. run() passes
+  /// the snapshot; candidate scoring and the FASSTA what-if pass overlays.
+  template <typename ArrivalOf, typename ArcOf>
+  [[nodiscard]] sta::NodeMoments gate_arrival(const netlist::Gate& g, ArrivalOf&& arrival_of,
+                                              ArcOf&& arc_of) const {
+    sta::NodeMoments acc;
+    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
+      const sta::NodeMoments through = stat_sum(arrival_of(g.fanins[i]), arc_of(i));
+      acc = (i == 0) ? through : stat_max(acc, through);
+    }
+    return acc;
+  }
+
+  /// The one circuit fold: the stat_max of the primary outputs' arrivals in
+  /// output order ((0, 0) for a netlist without outputs).
+  template <typename ArrivalOf>
+  [[nodiscard]] sta::NodeMoments circuit_arrival(ArrivalOf&& arrival_of) const {
+    sta::NodeMoments out{0.0, 0.0};
+    bool first = true;
+    for (const auto& po : ctx_.netlist().outputs()) {
+      out = first ? arrival_of(po.driver) : stat_max(out, arrival_of(po.driver));
+      first = false;
+    }
+    return out;
+  }
 
   /// Full-netlist moment propagation (used standalone and in benchmarks).
   /// Returns per-node arrival moments; @p circuit is filled with the moments
@@ -126,6 +163,12 @@ class Engine {
   [[nodiscard]] const EngineOptions& options() const { return options_; }
 
  private:
+  /// The full sweep of run() and run_with_candidate(): gate_arrival over the
+  /// full level schedule into @p arrival (pre-sized, zeroed), with
+  /// @p arcs_of(id) giving gate id's arc view; returns circuit_arrival.
+  template <typename ArcsOf>
+  sta::NodeMoments sweep(std::vector<sta::NodeMoments>& arrival, ArcsOf&& arcs_of) const;
+
   const sta::TimingContext& ctx_;
   EngineOptions options_;
 };

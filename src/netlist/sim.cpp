@@ -102,7 +102,8 @@ bool probably_equivalent(const Netlist& a, const Netlist& b, std::uint64_t seed,
   std::vector<std::uint64_t> words(a.inputs().size());
   for (unsigned round = 0; round < rounds; ++round) {
     for (auto& w : words) {
-      w = (static_cast<std::uint64_t>(rng.index(1ULL << 32)) << 32) ^ rng.index(1ULL << 32);
+      const std::uint64_t high = rng.index(1ULL << 32);  // drawn first
+      w = (high << 32) ^ rng.index(1ULL << 32);
     }
     if (sim_a.eval(words) != sim_b.eval(words)) return false;
   }

@@ -33,8 +33,8 @@ namespace statsizer::netlist {
 /// level is 1 + max(level of fanins), every edge goes *strictly* level-up —
 /// nodes inside one level never feed each other, so all gates of a level can
 /// be processed concurrently once every lower level is done. This is the
-/// wavefront decomposition TimingContext::update(), ssta::run_fullssta, and
-/// the what-if cone replay parallelize over.
+/// wavefront decomposition the timing engines' level schedule
+/// (sta::run_levels) runs on, for full sweeps and what-if cones alike.
 ///
 /// The struct is a value: compute it once with levelize() and reuse it until
 /// the netlist's *structure* changes (sizing changes never invalidate it —

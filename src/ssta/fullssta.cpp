@@ -1,10 +1,7 @@
 #include "ssta/fullssta.h"
 
-#include <cmath>
-
 #include "debug/validate.h"
 #include "util/check.h"
-#include "util/exec.h"
 
 namespace statsizer::ssta {
 
@@ -13,7 +10,6 @@ using pdf::DiscretePdf;
 
 FullSstaResult run_fullssta(const sta::TimingContext& ctx, const FullSstaOptions& options) {
   const auto& nl = ctx.netlist();
-  const std::size_t samples = options.samples_per_pdf;
 
   if constexpr (debug::kParanoid) {
     debug::validate_structure_fresh(nl, ctx.levelization());
@@ -35,65 +31,24 @@ FullSstaResult run_fullssta(const sta::TimingContext& ctx, const FullSstaOptions
     }
   }
 
-  // One gate's arrival from its (already finished) fanins: reads lower-level
-  // pdfs, writes only the gate's own slots.
-  const auto propagate_gate = [&](GateId id) {
-    const auto& g = nl.gate(id);
-    if (g.fanins.empty()) return;  // PI / constant: point mass at 0
+  // The gate-pdf kernel on the full level schedule: a gate reads only
+  // lower-level pdfs and writes only its own slots. Chunk size 1: per-gate
+  // pdf convolutions are heavy (~samples^2 work each), so per-gate
+  // scheduling load-balances best.
+  const auto arrival_of = [&](GateId f) -> const DiscretePdf& { return arrival[f]; };
+  sta::run_levels(ctx.full_schedule(), "ssta/fullssta/level", options.threads,
+                  ctx.options().min_level_width_for_parallel, 1, [&](GateId id) {
+                    const auto& g = nl.gate(id);
+                    if (g.fanins.empty()) return;  // PI / constant: launch arrival
+                    const std::uint32_t off = ctx.arc_offset(id);
+                    DiscretePdf acc =
+                        gate_arrival_pdf(g, ctx.arc_delays().data() + off,
+                                         ctx.arc_sigmas().data() + off, arrival_of, options);
+                    result.node[id] = sta::NodeMoments{acc.mean(), acc.stddev()};
+                    arrival[id] = std::move(acc);
+                  });
 
-    DiscretePdf acc;
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      const DiscretePdf delay = DiscretePdf::normal(
-          ctx.arc_delay_ps(id, i), ctx.arc_sigma_ps(id, i), samples, options.span_sigmas);
-      const DiscretePdf through = pdf::sum(arrival[g.fanins[i]], delay, samples);
-      acc = (i == 0) ? through : pdf::max(acc, through, samples);
-    }
-    if constexpr (debug::kParanoid) {
-      // Exceptions from a wavefront worker are captured and rethrown on the
-      // calling thread by parallel_for, so the audit is safe in both modes.
-      debug::validate_pdf(acc);
-    }
-    result.node[id] = sta::NodeMoments{acc.mean(), acc.stddev()};
-    arrival[id] = std::move(acc);
-  };
-
-  // Cooperative control at wavefront granularity (see util/exec.h): one
-  // checkpoint per level on the calling thread, or a fixed gate stride on
-  // the serial path. Value-neutral — aborts or stalls only.
-  if (options.threads == 1) {
-    std::size_t propagated = 0;
-    for (const GateId id : ctx.topo_order()) {
-      if ((propagated++ & 0xFF) == 0) util::checkpoint("ssta/fullssta/level");
-      propagate_gate(id);
-    }
-  } else {
-    // Levelized wavefront: gates of one level are independent (all fanins
-    // live in strictly lower levels), so each level fans across the pool and
-    // acts as the barrier for the next. Per-gate pdf convolutions are heavy
-    // (~samples^2 work each), so chunk size 1 load-balances best.
-    const netlist::Levelization& lv = ctx.levelization();
-    const std::size_t cutoff = ctx.options().min_level_width_for_parallel;
-    for (std::size_t l = 0; l < lv.level_count(); ++l) {
-      util::checkpoint("ssta/fullssta/level");
-      const std::span<const GateId> level = lv.level(l);
-      // Chunk size 1: per-gate pdf convolutions are heavy (~samples^2 work
-      // each), so per-gate scheduling load-balances best.
-      sta::run_wavefront_level(level, level.size(), cutoff, 1, options.threads,
-                               propagate_gate);
-    }
-  }
-
-  // RV_O = statistical max over all primary outputs.
-  DiscretePdf out = DiscretePdf::point(0.0);
-  bool first = true;
-  for (const auto& po : nl.outputs()) {
-    out = first ? arrival[po.driver] : pdf::max(out, arrival[po.driver], samples);
-    first = false;
-  }
-  if constexpr (debug::kParanoid) {
-    debug::validate_pdf(out);
-  }
-  result.output_pdf = std::move(out);
+  result.output_pdf = output_max_pdf(nl, arrival_of, options.samples_per_pdf);
   result.mean_ps = result.output_pdf.mean();
   result.sigma_ps = result.output_pdf.stddev();
   if (options.keep_node_pdfs) result.node_pdf = std::move(arrival);

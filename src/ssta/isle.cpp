@@ -212,11 +212,6 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
   const auto& nl = ctx.netlist();
   const auto& var = ctx.variation();
   const auto& pi_arrival = ctx.constraints().input_arrival_ps;
-  const double gf = var.params().global_fraction;
-  const double sqrt_gf = std::sqrt(gf);
-  const double sqrt_1mgf = std::sqrt(1.0 - gf);
-  const double floor_ps = var.random_sigma_ps();
-  const double min_frac = var.params().min_delay_fraction;
 
   IsleResult result;
 
@@ -291,21 +286,17 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
                 const std::int32_t slot =
                     prop.tracked == 0 ? -1 : prop.slot_of_arc[off + a];
                 if (slot >= 0) {
-                  // Tracked coordinate: decompose the draw so the shift can
-                  // be applied and x recorded for the likelihood ratio.
-                  // Mirrors VariationModel::sample_delay_ps with the z's
-                  // drawn in explicit sequence.
-                  const double delay = ctx.arc_delay_ps(id, a);
-                  const double sys = var.systematic_sigma_ps(delay, ctx.drive(id));
+                  // Tracked coordinate: draw the two normals as
+                  // VariationModel::sample_delay_ps does (local, then floor),
+                  // shift them, and record x for the likelihood ratio.
                   const double z1 = rng.normal();
                   const double z2 = rng.normal();
                   const double x1 = z1 + (comp >= 0 ? prop.shift1[comp][slot] : 0.0);
                   const double x2 = z2 + (comp >= 0 ? prop.shift2[comp][slot] : 0.0);
                   x1s[slot] = x1;
                   x2s[slot] = x2;
-                  const double raw = delay + sqrt_gf * sys * xg +
-                                     sqrt_1mgf * sys * x1 + floor_ps * x2;
-                  d = std::max(raw, min_frac * delay);
+                  d = var.delay_from_normals(ctx.arc_delay_ps(id, a), ctx.drive(id), xg, x1,
+                                             x2);
                 } else {
                   d = var.sample_delay_ps(ctx.arc_delay_ps(id, a), ctx.drive(id), xg,
                                           rng);

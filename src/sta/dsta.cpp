@@ -14,24 +14,22 @@ DstaResult run_dsta(const TimingContext& ctx, std::optional<double> clock_period
   DstaResult r;
   r.arrival_ps.assign(n, 0.0);
 
-  for (const GateId id : ctx.topo_order()) {
+  // Constrained primary inputs launch at their set_input_delay offset.
+  if (!cons.input_arrival_ps.empty()) {
+    for (GateId id = 0; id < n; ++id) {
+      if (nl.gate(id).fanins.empty()) r.arrival_ps[id] = cons.input_arrival_ps[id];
+    }
+  }
+  const auto arrival_of = [&](GateId f) { return r.arrival_ps[f]; };
+  run_levels(ctx.full_schedule(), "sta/dsta/level", [&](GateId id) {
     const auto& g = nl.gate(id);
-    // Constrained primary inputs launch at their set_input_delay offset.
-    double arr = (g.fanins.empty() && !cons.input_arrival_ps.empty())
-                     ? cons.input_arrival_ps[id]
-                     : 0.0;
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      arr = std::max(arr, r.arrival_ps[g.fanins[i]] + ctx.arc_delay_ps(id, i));
-    }
-    r.arrival_ps[id] = arr;
-  }
-
-  for (const auto& out : nl.outputs()) {
-    if (r.arrival_ps[out.driver] >= r.max_arrival_ps) {
-      r.max_arrival_ps = r.arrival_ps[out.driver];
-      r.critical_output = out.driver;
-    }
-  }
+    if (g.fanins.empty()) return;
+    r.arrival_ps[id] =
+        latest_arrival(g, arrival_of, [&](std::size_t i) { return ctx.arc_delay_ps(id, i); });
+  });
+  const LatestOutput latest = latest_output(nl, arrival_of);
+  r.max_arrival_ps = latest.arrival_ps;
+  r.critical_output = latest.driver;
 
   // Required times: initialize at POs, relax backwards. Precedence for the
   // PO target: explicit argument, then the context's constraints

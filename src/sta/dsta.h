@@ -4,6 +4,7 @@
 // behind the mean-delay baseline sizer.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -27,6 +28,38 @@ struct DstaResult {
   /// Worst slack over primary outputs.
   double wns_ps = 0.0;
 };
+
+/// The one forward kernel: the latest arrival at gate @p g (which has
+/// fanins), max over its arcs of arrival_of(fanin i) + delay_of(i), starting
+/// from 0. run_dsta passes the snapshot; the DSTA what-if passes its cone
+/// overlay.
+template <typename ArrivalOf, typename DelayOf>
+[[nodiscard]] double latest_arrival(const netlist::Gate& g, ArrivalOf&& arrival_of,
+                                    DelayOf&& delay_of) {
+  double arr = 0.0;
+  for (std::size_t i = 0; i < g.fanins.size(); ++i) {
+    arr = std::max(arr, arrival_of(g.fanins[i]) + delay_of(i));
+  }
+  return arr;
+}
+
+/// The latest primary-output arrival and the driver attaining it.
+struct LatestOutput {
+  double arrival_ps = 0.0;
+  netlist::GateId driver = netlist::kNoGate;
+};
+
+/// The one output fold: the latest primary-output arrival, scanning outputs
+/// in order from 0; `>=` keeps the last of equal winners.
+template <typename ArrivalOf>
+[[nodiscard]] LatestOutput latest_output(const netlist::Netlist& nl, ArrivalOf&& arrival_of) {
+  LatestOutput best;
+  for (const auto& out : nl.outputs()) {
+    const double a = arrival_of(out.driver);
+    if (a >= best.arrival_ps) best = LatestOutput{a, out.driver};
+  }
+  return best;
+}
 
 /// Runs deterministic STA. If @p clock_period_ps is empty, required times are
 /// set to the observed max arrival (zero-slack normalization).

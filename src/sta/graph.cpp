@@ -80,23 +80,6 @@ double TimingContext::gate_delay_ps(GateId g) const {
   return worst;
 }
 
-void TimingContext::relax_gate(GateId id) {
-  const auto& g = nl_.gate(id);
-  if (g.cell_group == netlist::kUnmapped) return;  // PI or constant
-  const liberty::Cell& c = lib_.cell_for(g.cell_group, g.size_index);
-  const double load = load_[id];
-  double out_slew = 0.0;
-  for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-    const liberty::TimingArc& arc = c.arc_from(i);
-    const double in_slew = slew_[g.fanins[i]];
-    const double d = arc.delay(in_slew, load);
-    arc_delay_[arc_offset_[id] + i] = d;
-    arc_sigma_[arc_offset_[id] + i] = var_.sigma_ps(d, c.drive);
-    out_slew = std::max(out_slew, arc.output_slew(in_slew, load));
-  }
-  slew_[id] = out_slew;
-}
-
 void TimingContext::update() {
   // The context's derived structure (topo order, levelization, arc offsets,
   // load-term lists) is frozen at construction; a structural netlist edit
@@ -121,14 +104,7 @@ void TimingContext::update() {
   arc_delay_.assign(arc_offset_[n], 0.0);
   arc_sigma_.assign(arc_offset_[n], 0.0);
 
-  // Area: serial fold in id order — the accumulation sequence is part of the
-  // bitwise contract (apply_snapshot_patch re-sums the same way).
-  area_um2_ = 0.0;
-  for (GateId id = 0; id < n; ++id) {
-    const auto& g = nl_.gate(id);
-    if (g.cell_group == netlist::kUnmapped) continue;
-    area_um2_ += lib_.cell_for(g.cell_group, g.size_index).area_um2;
-  }
+  sum_area();
 
   // Loads: each driver's terms fold independently (per-slot write, term
   // order fixed per driver), so this pass is level-free — any split works.
@@ -137,39 +113,21 @@ void TimingContext::update() {
     return lib_.cell_for(cg.cell_group, cg.size_index);
   };
   const std::size_t threads = options_.threads;
-  if (threads == 1 || n < options_.min_level_width_for_parallel) {
-    for (GateId id = 0; id < n; ++id) load_[id] = fold_load(id, bound_cell);
-  } else {
-    util::parallel_for(n, kLoadChunk, threads,
-                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                         for (std::size_t id = begin; id < end; ++id) {
-                           load_[id] = fold_load(static_cast<GateId>(id), bound_cell);
-                         }
-                       });
-  }
+  const std::size_t cutoff = options_.min_level_width_for_parallel;
+  run_wavefront_level(order_, cutoff, kLoadChunk, threads,
+                      [&](GateId id) { load_[id] = fold_load(id, bound_cell); });
 
-  // Slews / arc delays / sigmas. Serial: the classic topological sweep.
-  // Parallel: a levelized wavefront — all fanins of a level-l gate live in
-  // strictly lower levels, so within a level gates only read finished slews
-  // and write their own slots; levels form the barriers.
-  // Cooperative control: the wavefront path checkpoints once per level on
-  // the calling thread; the serial path matches that granularity with a
-  // fixed gate stride. Checkpoints only abort or stall (see util/exec.h) —
-  // never change values — so the bitwise contracts hold.
-  if (threads == 1) {
-    std::size_t relaxed = 0;
-    for (const GateId id : order_) {
-      if ((relaxed++ & 0xFF) == 0) util::checkpoint("sta/update/level");
-      relax_gate(id);
-    }
-    return;
-  }
-  for (std::size_t l = 0; l < levels_.level_count(); ++l) {
-    util::checkpoint("sta/update/level");
-    const std::span<const GateId> level = levels_.level(l);
-    run_wavefront_level(level, level.size(), options_.min_level_width_for_parallel,
-                        kRelaxChunk, threads, [this](GateId id) { relax_gate(id); });
-  }
+  // Slews / arc delays / sigmas: the relax kernel on the full level schedule.
+  // All fanins of a level-l gate live in strictly lower levels, so within a
+  // level gates only read finished slews and write their own slots.
+  const auto slew_of = [this](GateId f) { return slew_[f]; };
+  run_levels(full_schedule(), "sta/update/level", threads, cutoff, kRelaxChunk,
+             [&](GateId id) {
+               if (!has_cell(id)) return;  // PI or constant
+               const std::uint32_t off = arc_offset_[id];
+               slew_[id] = relax(id, cell(id), load_[id], slew_of, arc_delay_.data() + off,
+                                 arc_sigma_.data() + off);
+             });
 }
 
 double TimingContext::load_ff_with_resize(GateId driver, GateId center,
@@ -221,12 +179,15 @@ void TimingContext::apply_snapshot_patch(std::span<const std::uint8_t> dirty,
       arc_sigma_[a] = arc_sigma[a];
     }
   }
-  // Area re-sum in update()'s exact visit order.
+  sum_area();
+}
+
+void TimingContext::sum_area() {
+  // Serial fold in id order: the accumulation sequence is part of the
+  // bitwise contract between update() and apply_snapshot_patch().
   area_um2_ = 0.0;
-  for (GateId id = 0; id < n; ++id) {
-    const auto& g = nl_.gate(id);
-    if (g.cell_group == netlist::kUnmapped) continue;
-    area_um2_ += lib_.cell_for(g.cell_group, g.size_index).area_um2;
+  for (GateId id = 0; id < nl_.node_count(); ++id) {
+    if (has_cell(id)) area_um2_ += cell(id).area_um2;
   }
 }
 

@@ -12,6 +12,7 @@
 // is built on (paper section 4.5).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -20,25 +21,21 @@
 #include "liberty/model.h"
 #include "netlist/netlist.h"
 #include "netlist/topo.h"
+#include "util/exec.h"
 #include "util/thread_pool.h"
 #include "variation/model.h"
 
 namespace statsizer::sta {
 
 /// Dispatches one wavefront level: runs body(id) for every gate in @p level,
-/// serially when @p width < @p cutoff (or threads == 1), otherwise fanned
-/// across util::ThreadPool in fixed @p chunk pieces. @p width is the number
-/// of gates that will actually do work — level.size() for a full sweep;
-/// replays of a sparse dirty set pass the level's dirty count so clean or
-/// thin waves never pay pool dispatch. Shared by update(), run_fullssta, and
-/// the what-if cone replays; determinism follows from per-slot writes (chunk
-/// geometry and thread count never affect results).
+/// serially when the level is narrower than @p cutoff (or threads == 1),
+/// otherwise fanned across util::ThreadPool in fixed @p chunk pieces.
+/// Determinism follows from per-slot writes: chunk geometry and thread count
+/// never affect results.
 template <typename Body>
-void run_wavefront_level(std::span<const netlist::GateId> level, std::size_t width,
-                         std::size_t cutoff, std::size_t chunk, std::size_t threads,
-                         Body&& body) {
-  if (width == 0) return;
-  if (threads == 1 || width < cutoff) {
+void run_wavefront_level(std::span<const netlist::GateId> level, std::size_t cutoff,
+                         std::size_t chunk, std::size_t threads, Body&& body) {
+  if (threads == 1 || level.size() < cutoff) {
     for (const netlist::GateId id : level) body(id);
     return;
   }
@@ -46,6 +43,39 @@ void run_wavefront_level(std::span<const netlist::GateId> level, std::size_t wid
                      [&](std::size_t begin, std::size_t end, std::size_t) {
                        for (std::size_t i = begin; i < end; ++i) body(level[i]);
                      });
+}
+
+/// Gates bucketed by wavefront level (CSR): level l is
+/// gates[offset[l] .. offset[l + 1]). Every edge between scheduled gates goes
+/// strictly level-up, so the gates of one level are independent. A full
+/// analysis schedules every node (TimingContext::full_schedule()); a what-if
+/// schedules only its dirty cone (timing/cone.h).
+struct LevelSchedule {
+  std::span<const std::uint32_t> offset;
+  std::span<const netlist::GateId> gates;
+};
+
+/// The one level schedule every exact timing kernel runs on: body(id) for
+/// each scheduled gate, level by level, with one util::checkpoint(@p site)
+/// per level on the calling thread. Each level dispatches through
+/// run_wavefront_level, so threads == 1 is the same loop at width 1. A body
+/// reads only lower-level results and writes only its gate's own slots, which
+/// is what makes every thread count bitwise-identical.
+template <typename Body>
+void run_levels(LevelSchedule schedule, const char* site, std::size_t threads,
+                std::size_t cutoff, std::size_t chunk, Body&& body) {
+  for (std::size_t l = 0; l + 1 < schedule.offset.size(); ++l) {
+    util::checkpoint(site);
+    run_wavefront_level(
+        schedule.gates.subspan(schedule.offset[l], schedule.offset[l + 1] - schedule.offset[l]),
+        cutoff, chunk, threads, body);
+  }
+}
+
+/// run_levels at width 1, for kernels too light to pay pool dispatch.
+template <typename Body>
+void run_levels(LevelSchedule schedule, const char* site, Body&& body) {
+  run_levels(schedule, site, 1, 0, 1, body);
 }
 
 /// First two moments of a node's statistical arrival time. FULLSSTA computes
@@ -93,11 +123,12 @@ struct TimingOptions {
   /// Capacitance modelled at each primary output (e.g. a register's D pin).
   double primary_output_load_ff = 4.0;
   /// Worker threads for update()'s wavefront passes (load fold, then the
-  /// level-by-level slew/arc sweep). 1 = the classic serial topo-order loop,
-  /// 0 = hardware concurrency. Results are bitwise-identical for any value
-  /// (pinned by levelized_update_test): parallelism is only across the gates
-  /// of one level, each gate's fanin fold stays sequential, and every write
-  /// goes to the gate's own preallocated slot.
+  /// level-by-level slew/arc sweep) and for the FASSTA/DSTA what-ifs' cone
+  /// replay. 1 = the same level schedule at width 1, 0 = hardware
+  /// concurrency. Results are bitwise-identical for any value (pinned by
+  /// levelized_update_test): parallelism is only across the gates of one
+  /// level, each gate's fanin fold stays sequential, and every write goes to
+  /// the gate's own preallocated slot.
   std::size_t threads = 1;
   /// Wavefront levels narrower than this run serially even when threads > 1:
   /// a single-digit-gate level costs more in pool dispatch than its work.
@@ -133,11 +164,11 @@ class TimingContext {
                 const variation::VariationModel& var, TimingOptions options = {});
 
   /// Recomputes loads, slews, delays, sigmas, area for the netlist's current
-  /// sizing state. Called automatically by the constructor. With
-  /// TimingOptions::threads > 1 the load fold and the slew/arc sweep run as
-  /// levelized wavefronts across util::ThreadPool — bitwise-identical to the
-  /// serial pass for any thread count. Mutation rule unchanged: update() must
-  /// only run with no parallel region reading the snapshot in flight.
+  /// sizing state. Called automatically by the constructor. The load fold
+  /// and the slew/arc sweep (relax() on full_schedule()) run
+  /// TimingOptions::threads wide — bitwise-identical for any thread count.
+  /// Mutation rule unchanged: update() must only run with no parallel region
+  /// reading the snapshot in flight.
   void update();
 
   // -- bound objects ---------------------------------------------------------
@@ -149,9 +180,13 @@ class TimingContext {
   [[nodiscard]] const std::vector<netlist::GateId>& topo_order() const { return order_; }
   /// Cached level decomposition (computed with the topo order at
   /// construction; like order_, it describes the netlist's structure, which
-  /// must not change over the context's lifetime). The wavefront kernels —
-  /// update(), ssta::run_fullssta, the cone replay — iterate its levels.
+  /// must not change over the context's lifetime).
   [[nodiscard]] const netlist::Levelization& levelization() const { return levels_; }
+  /// Every node on the level schedule: what a full analysis runs (update(),
+  /// run_fullssta, fassta::Engine::run, run_dsta).
+  [[nodiscard]] LevelSchedule full_schedule() const {
+    return LevelSchedule{levels_.level_offset, levels_.order_by_level};
+  }
 
   // -- constraints -----------------------------------------------------------
   /// Installs external timing constraints (typically from an SDC file via
@@ -185,11 +220,14 @@ class TimingContext {
   /// Worst arc delay of the gate (its "gate delay").
   [[nodiscard]] double gate_delay_ps(netlist::GateId g) const;
   /// First slot of gate @p g in the dense arc arrays (arc (g, i) lives at
-  /// arc_offset(g) + i). Exposed so incremental what-if overlays can mirror
-  /// the snapshot's arc indexing (timing/cone.h).
+  /// arc_offset(g) + i). Incremental what-if overlays (timing/cone.h) use the
+  /// same indexing.
   [[nodiscard]] std::uint32_t arc_offset(netlist::GateId g) const { return arc_offset_[g]; }
   /// Total number of arcs (the size of the dense arc arrays).
   [[nodiscard]] std::size_t arc_count() const { return arc_offset_[nl_.node_count()]; }
+  /// The dense arc arrays themselves (arc (g, i) at arc_offset(g) + i).
+  [[nodiscard]] std::span<const double> arc_delays() const { return arc_delay_; }
+  [[nodiscard]] std::span<const double> arc_sigmas() const { return arc_sigma_; }
 
   // -- aggregates --------------------------------------------------------------
   [[nodiscard]] double area_um2() const { return area_um2_; }
@@ -232,6 +270,27 @@ class TimingContext {
   /// Sigma for a delay through @p cell (variation model shortcut).
   [[nodiscard]] double sigma_for(const liberty::Cell& cell, double delay_ps) const;
 
+  /// The one slew/arc relaxation kernel: mapped gate @p id bound to @p cell
+  /// and driving @p load_ff, with fanin slews read through @p slew_of. Writes
+  /// the gate's arc delays and sigmas to @p arc_delay[i] / @p arc_sigma[i]
+  /// and returns its worst output slew. update() passes the snapshot; the
+  /// what-if cone replay (timing/cone.h) passes its overlay.
+  template <typename SlewOf>
+  [[nodiscard]] double relax(netlist::GateId id, const liberty::Cell& cell, double load_ff,
+                             SlewOf&& slew_of, double* arc_delay, double* arc_sigma) const {
+    const auto& fanins = nl_.gate(id).fanins;
+    double out_slew = 0.0;
+    for (std::size_t i = 0; i < fanins.size(); ++i) {
+      const liberty::TimingArc& arc = cell.arc_from(i);
+      const double in_slew = slew_of(fanins[i]);
+      const double d = arc.delay(in_slew, load_ff);
+      arc_delay[i] = d;
+      arc_sigma[i] = var_.sigma_ps(d, cell.drive);
+      out_slew = std::max(out_slew, arc.output_slew(in_slew, load_ff));
+    }
+    return out_slew;
+  }
+
   // -- incremental snapshot commit ---------------------------------------------
   /// Commits an exact what-if overlay (timing/cone.h) in place of a full
   /// update(): for every node with @p load_dirty set, writes @p load; for
@@ -249,15 +308,14 @@ class TimingContext {
                             std::span<const double> arc_sigma);
 
  private:
+  /// Re-sums the cell area (update() and apply_snapshot_patch()).
+  void sum_area();
+
   netlist::Netlist& nl_;
   const liberty::Library& lib_;
   const variation::VariationModel& var_;
   TimingOptions options_;
   TimingConstraints constraints_;
-
-  /// Serial body of the slew/arc pass for one gate (shared by the serial
-  /// topo-order loop and the per-level wavefront workers).
-  void relax_gate(netlist::GateId id);
 
   std::vector<netlist::GateId> order_;
   netlist::Levelization levels_;

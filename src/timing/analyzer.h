@@ -38,11 +38,12 @@
 // serially.
 //
 // The FULLSSTA, FASSTA, and DSTA implementations are *incremental*: a
-// speculation re-propagates only the candidate's fanout cone (loads, slews,
-// arc delays, then arrival pdfs / moments / deterministic arrivals) against
-// a private overlay, and both the score and the committed base are
-// bitwise-identical to a from-scratch TimingContext::update() + full engine
-// run of the resized netlist. All three commit by patching the snapshot in
+// speculation runs the engine's full-sweep kernels — the snapshot's relax,
+// then the engine's per-gate kernel and output fold — over only the
+// candidate's fanout cone, against a private overlay (timing/cone.h). Both
+// the score and the committed base are therefore bitwise-identical to a
+// from-scratch TimingContext::update() + full engine run of the resized
+// netlist. All three commit by patching the snapshot in
 // place (TimingContext::apply_snapshot_patch — bitwise-equal to a full
 // update() without the O(E) rebuild), which is what lets area recovery
 // commit thousands of accepted downsizes without a single full snapshot

@@ -67,6 +67,9 @@ class BoundAnalyzer : public Analyzer {
   Summary base_;
   bool has_base_ = false;
   std::uint64_t epoch_ = 0;
+
+  // Incremental commits patch base_ in place and bump epoch_ (timing/cone.h).
+  friend class ConeSpeculation;
 };
 
 /// The generic transactional fallback: score() applies the resizes, re-runs

@@ -1,10 +1,13 @@
 #include "timing/cone.h"
 
-#include <algorithm>
-
 namespace statsizer::timing::detail {
 
 using netlist::GateId;
+
+namespace {
+// Chunk size of the snapshot half's parallel levels (as update()'s relax).
+constexpr std::size_t kRelaxChunk = 16;
+}  // namespace
 
 void ConeSnapshot::propagate(const sta::TimingContext& ctx, std::span<const Resize> resizes,
                              std::size_t threads) {
@@ -30,11 +33,11 @@ void ConeSnapshot::propagate(const sta::TimingContext& ctx, std::span<const Resi
   slew.assign(n, 0.0);
   arc_delay.assign(ctx.arc_count(), 0.0);
   arc_sigma.assign(ctx.arc_count(), 0.0);
-  std::vector<GateId> stack;
+  level_gates.clear();
   const auto mark = [&](GateId g) {
     if (!dirty[g]) {
       dirty[g] = 1;
-      stack.push_back(g);
+      level_gates.push_back(g);
     }
   };
   for (const Resize& r : resizes) {
@@ -51,59 +54,62 @@ void ConeSnapshot::propagate(const sta::TimingContext& ctx, std::span<const Resi
     }
   }
   // Downstream closure: a changed slew or arrival dirties every fanout.
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
-    for (const GateId f : nl.gate(g).fanouts) mark(f);
+  // level_gates doubles as the worklist (every marked gate is appended once).
+  for (std::size_t head = 0; head < level_gates.size(); ++head) {
+    for (const GateId f : nl.gate(level_gates[head]).fanouts) mark(f);
   }
 
-  // Re-propagate the dirty set, mirroring update()'s slew/delay/sigma loop
-  // (unmapped nodes keep the base slew and zero arcs, exactly as update()
-  // leaves them). A dirty gate reads only lower-level slews — finished by
-  // the level barrier — and writes its own slots, so the wavefront is
-  // bitwise-identical to the serial topological sweep.
-  const auto replay_gate = [&](GateId id) {
-    if (!dirty[id]) return;
-    const auto& g = nl.gate(id);
-    if (!ctx.has_cell(id)) {
-      slew[id] = ctx.slew_ps(id);
-      return;
-    }
-    const liberty::Cell* cell = cand[id] != nullptr ? cand[id] : &ctx.cell(id);
-    const double ld = load_dirty[id] ? load[id] : ctx.load_ff(id);
-    double out_slew = 0.0;
-    const std::uint32_t off = ctx.arc_offset(id);
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      const GateId fi = g.fanins[i];
-      const double in_slew = dirty[fi] ? slew[fi] : ctx.slew_ps(fi);
-      const liberty::TimingArc& arc = cell->arc_from(i);
-      const double d = arc.delay(in_slew, ld);
-      arc_delay[off + i] = d;
-      arc_sigma[off + i] = ctx.sigma_for(*cell, d);
-      out_slew = std::max(out_slew, arc.output_slew(in_slew, ld));
-    }
-    slew[id] = out_slew;
-  };
-
-  dirty_per_level.clear();
-  if (threads == 1) {
-    for (const GateId id : ctx.topo_order()) replay_gate(id);
-    return;
-  }
-  // Fan out only where the cone actually is: a resize's dirty closure
-  // usually touches a sliver of each level, so the dispatch decision uses
-  // the level's *dirty* count (clean levels skip entirely, thin ones run
-  // serially). One O(nodes) byte scan — trivial next to the replay work.
+  // Bucket the dirty set by level (counting sort; stable, so the schedule is
+  // a pure function of the resize set).
   const netlist::Levelization& lv = ctx.levelization();
-  dirty_per_level.assign(lv.level_count(), 0);
-  for (GateId id = 0; id < n; ++id) {
-    if (dirty[id]) ++dirty_per_level[lv.level_of[id]];
-  }
-  const std::size_t cutoff = ctx.options().min_level_width_for_parallel;
-  for (std::size_t l = 0; l < lv.level_count(); ++l) {
-    sta::run_wavefront_level(lv.level(l), dirty_per_level[l], cutoff, 16, threads,
-                             replay_gate);
-  }
+  level_offset.assign(lv.level_count() + 1, 0);
+  for (const GateId g : level_gates) ++level_offset[lv.level_of[g] + 1];
+  for (std::size_t l = 1; l < level_offset.size(); ++l) level_offset[l] += level_offset[l - 1];
+  std::vector<std::uint32_t> cursor(level_offset.begin(), level_offset.end() - 1);
+  std::vector<GateId> discovered = std::move(level_gates);
+  level_gates.assign(discovered.size(), netlist::kNoGate);
+  for (const GateId g : discovered) level_gates[cursor[lv.level_of[g]]++] = g;
+
+  // The relax kernel update() runs, over the dirty schedule: loads from the
+  // overlay where re-folded, fanin slews from the overlay where dirty.
+  const auto slew_of = [&](GateId f) { return dirty[f] ? slew[f] : ctx.slew_ps(f); };
+  sta::run_levels(schedule(), "timing/cone/level", threads,
+                  ctx.options().min_level_width_for_parallel, kRelaxChunk, [&](GateId id) {
+                    const double ld = load_dirty[id] ? load[id] : ctx.load_ff(id);
+                    const std::uint32_t off = ctx.arc_offset(id);
+                    slew[id] = ctx.relax(id, cell_of(id), ld, slew_of, arc_delay.data() + off,
+                                         arc_sigma.data() + off);
+                  });
+}
+
+ConeSpeculation::ConeSpeculation(BoundAnalyzer& owner, sta::TimingContext& ctx,
+                                 std::span<const Resize> resizes, std::size_t threads)
+    : owner_(owner), ctx_(ctx), epoch_(owner.epoch()), threads_(threads) {
+  resizes_.assign(resizes.begin(), resizes.end());
+}
+
+const Summary& ConeSpeculation::score() {
+  if (scored_) return result_;  // cached scores stay readable after invalidation
+  owner_.guard_epoch(epoch_);
+  cone_.propagate(ctx_, resizes_, threads_);
+  propagate_arrivals();
+  scored_ = true;
+  return result_;
+}
+
+void ConeSpeculation::commit() {
+  if (committed_) return;  // uniform contract: a second commit is a no-op
+  owner_.guard_epoch(epoch_);
+  if (!scored_) (void)score();  // must run against the pre-resize snapshot
+  auto& nl = ctx_.mutable_netlist();
+  for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
+  ctx_.apply_snapshot_patch(cone_.dirty, cone_.load_dirty, cone_.load, cone_.slew,
+                            cone_.arc_delay, cone_.arc_sigma);
+  merge_arrivals();  // dirty nodes of the base summary
+  owner_.base_.mean_ps = result_.mean_ps;
+  owner_.base_.sigma_ps = result_.sigma_ps;
+  ++owner_.epoch_;  // siblings' base is gone
+  committed_ = true;
 }
 
 }  // namespace statsizer::timing::detail

@@ -1,20 +1,15 @@
 // FULLSSTA behind the timing::Analyzer interface, with the incremental
 // what-if overlay that makes parallel speculative confirmations possible.
 //
-// A speculation re-propagates only the resize's fanout cone: the snapshot
-// half (loads of the resized gates' drivers re-folded in update()'s exact
-// accumulation order, then slews / arc delays / arc sigmas over the dirty
-// set) comes from the shared detail::ConeSnapshot (timing/cone.h — also the
-// engine behind the FASSTA/DSTA what-ifs); this file adds the pdf half,
-// propagating arrival pdfs over the same dirty set in topological order and
-// reading everything outside the cone from the analyzer's cached base. The
-// recomputation MIRRORS TimingContext::update() and ssta::run_fullssta()
-// operation for operation, which is what makes the score — and the base
-// state a commit() installs — bitwise-identical to a from-scratch update()
-// + run_fullssta() of the resized netlist. The conformance suite
-// (tests/analyzer_conformance_test.cpp) pins this. Commits install the
-// snapshot half through TimingContext::apply_snapshot_patch (bitwise-equal
-// to a full update(), without the O(E) rebuild).
+// A speculation is a detail::ConeSpeculation (timing/cone.h): the snapshot
+// half re-runs TimingContext::relax over the resize's fanout cone, and this
+// file adds the pdf half — ssta::gate_arrival_pdf, the kernel run_fullssta
+// runs, over the same cone schedule, reading everything outside the cone
+// from the analyzer's cached base, then ssta::output_max_pdf. Because both
+// halves are the full-sweep kernels restricted to the cone, the score — and
+// the base state a commit() installs — is bitwise-identical to a
+// from-scratch update() + run_fullssta() of the resized netlist. The
+// conformance suite (tests/analyzer_conformance_test.cpp) pins this.
 //
 // Overlay storage is dense (GateId-indexed vectors, cleared per score):
 // the O(nodes) clears are memset-class and dwarfed by the cone's pdf
@@ -22,10 +17,8 @@
 // memory — callers that score many speculations concurrently should window
 // their waves (opt::size_statistically caps waves at a few times the worker
 // count).
-#include <algorithm>
 #include <utility>
 
-#include "timing/analyzer_impl.h"
 #include "timing/cone.h"
 
 namespace statsizer::timing::detail {
@@ -77,130 +70,53 @@ class FullSstaAnalyzer final : public BoundAnalyzer {
   }
 
  private:
-  class WhatIfSpeculation final : public Speculation {
+  /// Both halves run FullSstaOptions::threads wide (a speculation scored
+  /// from inside a pool worker runs inline; the big win is the atomic
+  /// multi-resize confirmations scored on the caller's thread).
+  class WhatIfSpeculation final : public ConeSpeculation {
    public:
     WhatIfSpeculation(FullSstaAnalyzer& owner, sta::TimingContext& ctx,
                       std::span<const Resize> resizes)
-        : owner_(owner), ctx_(ctx), epoch_(owner.epoch()) {
-      resizes_.assign(resizes.begin(), resizes.end());
-    }
-
-    const Summary& score() override {
-      if (scored_) return result_;
-      owner_.guard_epoch(epoch_);
-      propagate();
-      scored_ = true;
-      return result_;
-    }
-
-    void commit() override {
-      if (committed_) return;
-      owner_.guard_epoch(epoch_);
-      if (!scored_) (void)score();  // must run against the pre-resize snapshot
-      auto& nl = ctx_.mutable_netlist();
-      for (const Resize& r : resizes_) nl.gate(r.gate).size_index = r.size;
-      ctx_.apply_snapshot_patch(cone_.dirty, cone_.load_dirty, cone_.load, cone_.slew,
-                                cone_.arc_delay, cone_.arc_sigma);
-      owner_.merge(*this);  // installs the overlay as the new base; bumps epoch
-      committed_ = true;
-    }
-
-    void rollback() override {}  // the overlay never touched shared state
+        : ConeSpeculation(owner, ctx, resizes, owner.options_.threads), analyzer_(owner) {}
 
    private:
-    /// The incremental re-propagation: the shared snapshot half, then the
-    /// pdf half mirroring run_fullssta()'s loop over the dirty set — both
-    /// wavefront-parallel with FullSstaOptions::threads (a speculation
-    /// scored from inside a pool worker runs inline; the big win is the
-    /// atomic multi-resize confirmations scored on the caller's thread).
-    void propagate() {
+    void propagate_arrivals() override {
       const auto& nl = ctx_.netlist();
       const std::size_t n = nl.node_count();
-      const std::size_t samples = owner_.options_.samples_per_pdf;
-      const double span_sigmas = owner_.options_.span_sigmas;
-      const std::size_t threads = owner_.options_.threads;
-
-      cone_.propagate(ctx_, resizes_, threads);
-
+      const ssta::FullSstaOptions& options = analyzer_.options_;
       ov_arrival_.assign(n, DiscretePdf());
       ov_moments_.assign(n, sta::NodeMoments{});
       const auto arrival_of = [&](GateId id) -> const DiscretePdf& {
-        return cone_.dirty[id] ? ov_arrival_[id] : owner_.base_arrival_[id];
+        return cone_.dirty[id] ? ov_arrival_[id] : analyzer_.base_arrival_[id];
       };
-      const auto replay_gate = [&](GateId id) {
-        if (!cone_.dirty[id]) return;
-        const auto& g = nl.gate(id);
-        if (g.fanins.empty()) {  // unreachable for dirty nodes; mirror anyway
-          ov_arrival_[id] = DiscretePdf::point(0.0);
-          return;
-        }
-        const std::uint32_t off = ctx_.arc_offset(id);
-        DiscretePdf acc;
-        for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-          const DiscretePdf delay = DiscretePdf::normal(
-              cone_.arc_delay[off + i], cone_.arc_sigma[off + i], samples, span_sigmas);
-          const DiscretePdf through = pdf::sum(arrival_of(g.fanins[i]), delay, samples);
-          acc = (i == 0) ? through : pdf::max(acc, through, samples);
-        }
-        ov_moments_[id] = sta::NodeMoments{acc.mean(), acc.stddev()};
-        ov_arrival_[id] = std::move(acc);
-      };
-      if (threads == 1) {
-        for (const GateId id : ctx_.topo_order()) replay_gate(id);
-      } else {
-        // Same wavefront as the snapshot half, reusing its per-level dirty
-        // counts (the cone just ran with the same threads value): clean
-        // levels skip, thin ones run serially, pdf-heavy waves get per-gate
-        // chunks.
-        const netlist::Levelization& lv = ctx_.levelization();
-        const std::size_t cutoff = ctx_.options().min_level_width_for_parallel;
-        for (std::size_t l = 0; l < lv.level_count(); ++l) {
-          sta::run_wavefront_level(lv.level(l), cone_.dirty_per_level[l], cutoff, 1,
-                                   threads, replay_gate);
-        }
-      }
-
-      // RV_O: statistical max over all primary outputs, in output order.
-      DiscretePdf out = DiscretePdf::point(0.0);
-      bool first = true;
-      for (const auto& po : nl.outputs()) {
-        const DiscretePdf& a = arrival_of(po.driver);
-        out = first ? a : pdf::max(out, a, samples);
-        first = false;
-      }
-      ov_output_ = std::move(out);
+      sta::run_levels(cone_.schedule(), "timing/cone/level", threads_,
+                      ctx_.options().min_level_width_for_parallel, 1, [&](GateId id) {
+                        const std::uint32_t off = ctx_.arc_offset(id);
+                        DiscretePdf acc = ssta::gate_arrival_pdf(
+                            nl.gate(id), cone_.arc_delay.data() + off,
+                            cone_.arc_sigma.data() + off, arrival_of, options);
+                        ov_moments_[id] = sta::NodeMoments{acc.mean(), acc.stddev()};
+                        ov_arrival_[id] = std::move(acc);
+                      });
+      ov_output_ = ssta::output_max_pdf(nl, arrival_of, options.samples_per_pdf);
       result_.mean_ps = ov_output_.mean();
       result_.sigma_ps = ov_output_.stddev();
     }
 
-    FullSstaAnalyzer& owner_;
-    sta::TimingContext& ctx_;
-    std::uint64_t epoch_ = 0;
-    Summary result_;
-    bool scored_ = false;
-    bool committed_ = false;
+    void merge_arrivals() override {
+      for (const GateId id : cone_.level_gates) {
+        analyzer_.base_arrival_[id] = std::move(ov_arrival_[id]);
+        base().node[id] = ov_moments_[id];
+      }
+      base().output_pdf = std::move(ov_output_);
+    }
+
+    FullSstaAnalyzer& analyzer_;
     // Overlay state, kept after score() so commit() can merge it.
-    ConeSnapshot cone_;
     std::vector<DiscretePdf> ov_arrival_;
     std::vector<sta::NodeMoments> ov_moments_;
     DiscretePdf ov_output_;
-
-    friend class FullSstaAnalyzer;
   };
-
-  /// Installs a committed speculation's overlay as the new base state.
-  void merge(WhatIfSpeculation& spec) {
-    const std::size_t n = base_arrival_.size();
-    for (GateId id = 0; id < n; ++id) {
-      if (!spec.cone_.dirty[id]) continue;
-      base_arrival_[id] = std::move(spec.ov_arrival_[id]);
-      base_.node[id] = spec.ov_moments_[id];
-    }
-    base_.output_pdf = std::move(spec.ov_output_);
-    base_.mean_ps = spec.result_.mean_ps;
-    base_.sigma_ps = spec.result_.sigma_ps;
-    ++epoch_;  // siblings' base is gone
-  }
 
   ssta::FullSstaOptions options_;
   std::vector<DiscretePdf> base_arrival_;

@@ -29,14 +29,22 @@ double VariationModel::mean_to_sigma_coeff(double drive) const {
   return params_.proportional_coeff / std::pow(drive, params_.size_exponent);
 }
 
-double VariationModel::sample_delay_ps(double delay_ps, double drive, double global_z,
-                                       util::Rng& rng) const {
+double VariationModel::delay_from_normals(double delay_ps, double drive, double z_global,
+                                          double z_local, double z_floor) const {
   const double sys = systematic_sigma_ps(delay_ps, drive);
   const double shared = std::sqrt(params_.global_fraction) * sys;
   const double local = std::sqrt(1.0 - params_.global_fraction) * sys;
-  const double sample = delay_ps + shared * global_z + local * rng.normal() +
-                        params_.random_floor_ps * rng.normal();
+  const double sample =
+      delay_ps + shared * z_global + local * z_local + params_.random_floor_ps * z_floor;
   return std::max(sample, params_.min_delay_fraction * delay_ps);
+}
+
+double VariationModel::sample_delay_ps(double delay_ps, double drive, double global_z,
+                                       util::Rng& rng) const {
+  // Two statements: the draw order is part of every sampled result.
+  const double z_local = rng.normal();
+  const double z_floor = rng.normal();
+  return delay_from_normals(delay_ps, drive, global_z, z_local, z_floor);
 }
 
 }  // namespace statsizer::variation

@@ -56,10 +56,19 @@ class VariationModel {
   /// systematic proportionality at the given drive.
   [[nodiscard]] double mean_to_sigma_coeff(double drive) const;
 
+  /// Maps the three standard-normal coordinates of one delay sample — the
+  /// shared process variable @p z_global, the gate-local systematic @p
+  /// z_local, and the unsystematic floor @p z_floor — to the sampled delay,
+  /// truncated below at min_delay_fraction * nominal (delays cannot go
+  /// negative). Importance samplers that shift the coordinates call this
+  /// directly.
+  [[nodiscard]] double delay_from_normals(double delay_ps, double drive, double z_global,
+                                          double z_local, double z_floor) const;
+
   /// Draws one delay sample. @p global_z is the standard-normal draw of the
   /// shared process variable for this sample (ignored if global_fraction = 0);
-  /// the gate-local randomness comes from @p rng. Samples are truncated below
-  /// at min_delay_fraction * nominal (delays cannot go negative).
+  /// the gate-local randomness comes from @p rng: two normals, local first,
+  /// then floor (delay_from_normals).
   [[nodiscard]] double sample_delay_ps(double delay_ps, double drive, double global_z,
                                        util::Rng& rng) const;
 

@@ -6,15 +6,19 @@
 //   * a committed speculation's base equals a from-scratch analyze() of the
 //     resized netlist bitwise (deterministic engines);
 //   * commits invalidate sibling speculations (epoch guard).
-// Plus the FULLSSTA-specific guarantees the parallel rescue confirmations
-// rest on: what-if scores (single and multi-resize) bitwise-equal a
-// from-scratch update() + run_fullssta() on the cla_adder and parity-fabric
-// circuits from sizer_parallel_test, concurrent speculative scoring is
-// thread-count-invariant, and a committed overlay equals the from-scratch
-// run (arrival moments, output pdf, mean, sigma).
+// Plus the cone-engine guarantees (FULLSSTA, FASSTA, DSTA) the parallel
+// rescue confirmations and area recovery rest on: what-if scores (single and
+// multi-resize) bitwise-equal a from-scratch analyze() of a resized twin on
+// the cla_adder and parity-fabric circuits from sizer_parallel_test,
+// concurrent speculative scoring is thread-count-invariant, and a committed
+// overlay equals the from-scratch run (arrival moments, output pdf, mean,
+// sigma, snapshot).
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -278,37 +282,47 @@ TEST(AnalyzerRegistry, AcceptsExtensionBackends) {
 }
 
 // ---------------------------------------------------------------------------
-// FULLSSTA what-if vs full re-run: the bitwise-equivalence the parallel
-// rescue confirmations rest on, exercised on the two circuits from
+// Cone what-if vs full re-run: the bitwise-equivalence the parallel rescue
+// confirmations and area recovery rest on, for all three cone engines
+// (FULLSSTA, FASSTA, DSTA), exercised on the two circuits from
 // sizer_parallel_test (a reconvergent carry chain and a balanced fabric).
+// The reference is always a fresh analyzer's analyze() of a resized twin.
 // ---------------------------------------------------------------------------
+
+/// The cone engines. The parameter indexes engine x circuit: engine
+/// kConeEngines[p / 2] on circuit p % 2 (0 = cla_adder, 1 = parity_fabric).
+constexpr const char* kConeEngines[] = {"fullssta", "fassta", "dsta"};
 
 class FullSstaWhatIf : public ::testing::TestWithParam<int> {
  protected:
+  static std::string engine() { return kConeEngines[GetParam() / 2]; }
   static Netlist circuit() {
-    return GetParam() == 0 ? circuits::make_cla_adder(8) : parity_fabric(16);
+    return GetParam() % 2 == 0 ? circuits::make_cla_adder(8) : parity_fabric(16);
+  }
+
+  /// From-scratch reference: an identical twin bench at @p sizes with
+  /// @p resizes applied, analyzed by a fresh analyzer of engine().
+  static Summary analyze_twin(const std::vector<std::uint16_t>& sizes,
+                              std::span<const Resize> resizes, Fingerprint* snapshot = nullptr) {
+    Bench twin(circuit());
+    twin.nl.set_sizes(sizes);
+    for (const Resize& r : resizes) twin.nl.gate(r.gate).size_index = r.size;
+    twin.ctx->update();
+    if (snapshot != nullptr) *snapshot = fingerprint(*twin.ctx);
+    return make_analyzer(engine())->analyze(*twin.ctx);
   }
 };
 
 TEST_P(FullSstaWhatIf, ScoreMatchesFromScratchRerunBitwise) {
   Bench b(circuit());
-  auto an = make_analyzer("fullssta");
+  auto an = make_analyzer(engine());
   (void)an->analyze(*b.ctx);
 
   for (const Candidate& c : some_candidates(*b.ctx, 24)) {
     auto spec = an->propose(c.gate, c.size);
     const Summary& scored = spec->score();
-
-    // From-scratch reference: mutate, rebuild the snapshot, run the engine,
-    // restore. (update() is a pure function of the sizes, so the restore
-    // leaves the bench bitwise-identical for the next candidate.)
-    const std::uint16_t keep = b.nl.gate(c.gate).size_index;
-    b.nl.gate(c.gate).size_index = c.size;
-    b.ctx->update();
-    const ssta::FullSstaResult reference = ssta::run_fullssta(*b.ctx);
-    b.nl.gate(c.gate).size_index = keep;
-    b.ctx->update();
-
+    const Resize r{c.gate, c.size};
+    const Summary reference = analyze_twin(b.nl.sizes(), std::span<const Resize>(&r, 1));
     EXPECT_EQ(scored.mean_ps, reference.mean_ps) << "gate " << c.gate;
     EXPECT_EQ(scored.sigma_ps, reference.sigma_ps) << "gate " << c.gate;
     spec->rollback();
@@ -317,7 +331,7 @@ TEST_P(FullSstaWhatIf, ScoreMatchesFromScratchRerunBitwise) {
 
 TEST_P(FullSstaWhatIf, MultiResizeScoreMatchesFromScratchRerunBitwise) {
   Bench b(circuit());
-  auto an = make_analyzer("fullssta");
+  auto an = make_analyzer(engine());
   (void)an->analyze(*b.ctx);
 
   const auto cands = some_candidates(*b.ctx, 6);
@@ -327,51 +341,34 @@ TEST_P(FullSstaWhatIf, MultiResizeScoreMatchesFromScratchRerunBitwise) {
 
   auto spec = an->propose_resizes(resizes);
   const Summary& scored = spec->score();
-
-  const auto keep = b.nl.sizes();
-  for (const Resize& r : resizes) b.nl.gate(r.gate).size_index = r.size;
-  b.ctx->update();
-  const ssta::FullSstaResult reference = ssta::run_fullssta(*b.ctx);
-  b.nl.set_sizes(keep);
-  b.ctx->update();
-
+  const Summary reference = analyze_twin(b.nl.sizes(), resizes);
   EXPECT_EQ(scored.mean_ps, reference.mean_ps);
   EXPECT_EQ(scored.sigma_ps, reference.sigma_ps);
 }
 
 TEST_P(FullSstaWhatIf, CommittedOverlayEqualsFromScratchRun) {
   Bench b(circuit());
-  auto an = make_analyzer("fullssta");
+  auto an = make_analyzer(engine());
   (void)an->analyze(*b.ctx);
 
   // Commit a chain of speculations (the rescue pattern: serial commits in
-  // gain order), then compare the merged base against a from-scratch run.
+  // gain order), then compare the merged base — arrival moments, output
+  // pdf, mean, sigma — and the patched snapshot against a from-scratch run.
   const auto cands = some_candidates(*b.ctx, 4);
   for (const Candidate& c : cands) {
     auto spec = an->propose(c.gate, c.size);
     (void)spec->score();
     spec->commit();
   }
-  const Summary& merged = an->current();
-
-  ssta::FullSstaOptions opt;
-  opt.keep_node_pdfs = true;
-  const ssta::FullSstaResult reference = ssta::run_fullssta(*b.ctx, opt);
-  EXPECT_EQ(merged.mean_ps, reference.mean_ps);
-  EXPECT_EQ(merged.sigma_ps, reference.sigma_ps);
-  ASSERT_EQ(merged.node.size(), reference.node.size());
-  for (std::size_t i = 0; i < merged.node.size(); ++i) {
-    EXPECT_EQ(merged.node[i].mean_ps, reference.node[i].mean_ps) << "node " << i;
-    EXPECT_EQ(merged.node[i].sigma_ps, reference.node[i].sigma_ps) << "node " << i;
-  }
-  EXPECT_EQ(merged.output_pdf.masses(), reference.output_pdf.masses());
-  EXPECT_EQ(merged.output_pdf.origin(), reference.output_pdf.origin());
-  EXPECT_EQ(merged.output_pdf.step(), reference.output_pdf.step());
+  Fingerprint twin_snapshot;
+  const Summary reference = analyze_twin(b.nl.sizes(), {}, &twin_snapshot);
+  expect_summaries_equal(an->current(), reference);
+  EXPECT_EQ(fingerprint(*b.ctx), twin_snapshot);
 }
 
 TEST_P(FullSstaWhatIf, ConcurrentScoringIsThreadCountInvariant) {
   Bench b(circuit());
-  auto an = make_analyzer("fullssta");
+  auto an = make_analyzer(engine());
   (void)an->analyze(*b.ctx);
   ASSERT_TRUE(an->capabilities().concurrent_speculations);
 
@@ -402,10 +399,12 @@ TEST_P(FullSstaWhatIf, ConcurrentScoringIsThreadCountInvariant) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Circuits, FullSstaWhatIf, ::testing::Values(0, 1),
+INSTANTIATE_TEST_SUITE_P(Circuits, FullSstaWhatIf, ::testing::Range(0, 6),
                          [](const auto& info) {
-                           return info.param == 0 ? std::string("cla_adder")
-                                                  : std::string("parity_fabric");
+                           const std::string circuit =
+                               info.param % 2 == 0 ? "cla_adder" : "parity_fabric";
+                           const std::string engine = kConeEngines[info.param / 2];
+                           return engine == "fullssta" ? circuit : engine + "_" + circuit;
                          });
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 // Area recovery on the timing::Analyzer what-if API: the contract (mirroring
 // sizer_parallel_test) is that accepted downsizes, final sizes, and
 // AreaRecoveryStats are bitwise-identical for any thread count, AND
-// identical to the pre-port serial mutate-and-rerun loop
-// (opt::detail::recover_area_reference). Plus the rollback accounting audit:
+// identical to the pre-port serial mutate-and-rerun loop (recover_area_reference
+// below, a frozen copy of that loop). Plus the rollback accounting audit:
 // AreaRecoveryStats must match the committed netlist even when a chunk's
 // exact verification fails and rolls the chunk back wholesale.
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include "opt/area_recovery.h"
 #include "opt/initial_sizing.h"
 #include "opt/sizer_deterministic.h"
+#include "sta/dsta.h"
 #include "ssta/fullssta.h"
 #include "techmap/mapper.h"
 
@@ -24,6 +27,124 @@ namespace {
 
 using netlist::GateId;
 using netlist::Netlist;
+
+// ---------------------------------------------------------------------------
+// Frozen reference: the pre-port serial loop recover_area replaced. Per
+// trial it mutates the netlist, runs a full TimingContext::update() and
+// re-runs the screen engine from scratch. Kept verbatim so the analyzer port
+// can be pinned against the original loop's decisions bitwise.
+// ---------------------------------------------------------------------------
+
+/// Gates with shrink headroom, largest cells first: most area to win back.
+std::vector<GateId> recovery_order(const sta::TimingContext& ctx) {
+  const auto& nl = ctx.netlist();
+  std::vector<GateId> order;
+  for (GateId id = 0; id < nl.node_count(); ++id) {
+    if (ctx.has_cell(id) && nl.gate(id).size_index > 0) order.push_back(id);
+  }
+  std::sort(order.begin(), order.end(), [&](GateId a, GateId b) {
+    return ctx.cell(a).area_um2 > ctx.cell(b).area_um2;
+  });
+  return order;
+}
+
+AreaRecoveryStats recover_area_reference(sta::TimingContext& ctx,
+                                         const AreaRecoveryOptions& options) {
+  // Exact verifications run every kChunk accepted downsizes, as in
+  // recover_area.
+  constexpr std::size_t kChunk = 12;
+  auto& nl = ctx.mutable_netlist();
+  const fassta::Engine engine(ctx, options.fassta);
+  const Objective& obj = options.objective;
+  const bool statistical = options.criterion == RecoveryCriterion::kStatisticalCost;
+
+  AreaRecoveryStats stats;
+  ctx.update();
+  stats.area_before_um2 = ctx.area_um2();
+
+  double screen_sigma = 0.0;
+  const auto screen = [&]() {
+    if (!statistical) return run_dsta(ctx).max_arrival_ps;
+    sta::NodeMoments m;
+    (void)engine.run(&m);
+    screen_sigma = m.sigma_ps;
+    return obj.cost(m.mean_ps, m.sigma_ps);
+  };
+  const double screen_budget = screen() * (1.0 + options.tolerance);
+  const double screen_sigma_budget = screen_sigma * (1.0 + options.sigma_tolerance);
+
+  double exact_cost_budget = 0.0;
+  double exact_sigma_budget = 0.0;
+  if (statistical) {
+    const ssta::FullSstaResult full = ssta::run_fullssta(ctx, options.fullssta);
+    exact_cost_budget = obj.cost(full.mean_ps, full.sigma_ps) * (1.0 + options.tolerance);
+    exact_sigma_budget = full.sigma_ps * (1.0 + options.sigma_tolerance);
+  }
+  const auto exact_ok = [&]() {
+    const ssta::FullSstaResult full = ssta::run_fullssta(ctx, options.fullssta);
+    return obj.cost(full.mean_ps, full.sigma_ps) <= exact_cost_budget &&
+           full.sigma_ps <= exact_sigma_budget;
+  };
+
+  auto checkpoint = nl.sizes();
+  std::size_t since_checkpoint = 0;
+  bool stopped = false;
+
+  for (std::size_t pass = 0; pass < options.max_passes && !stopped; ++pass) {
+    const std::vector<GateId> order = recovery_order(ctx);
+
+    std::size_t changed = 0;
+    for (const GateId g : order) {
+      auto& gate = nl.gate(g);
+      while (gate.size_index > 0) {
+        const std::uint16_t keep = gate.size_index;
+        gate.size_index = static_cast<std::uint16_t>(keep - 1);
+        ctx.update();
+        ++stats.screen_trials;
+        const double cost = screen();
+        const bool ok = cost <= screen_budget &&
+                        (!statistical || screen_sigma <= screen_sigma_budget);
+        if (!ok) {
+          gate.size_index = keep;
+          ctx.update();
+          break;
+        }
+        ++stats.downsizes;
+        ++changed;
+        if (statistical && ++since_checkpoint >= kChunk) {
+          ++stats.exact_verifications;
+          if (exact_ok()) {
+            checkpoint = nl.sizes();
+          } else {
+            nl.set_sizes(checkpoint);
+            ctx.update();
+            stats.downsizes -= since_checkpoint;
+            ++stats.chunk_rollbacks;
+            stopped = true;
+          }
+          since_checkpoint = 0;
+          if (stopped) break;
+        }
+      }
+      if (stopped) break;
+    }
+    if (changed == 0) break;
+  }
+
+  if (statistical && since_checkpoint > 0 && !stopped) {
+    ++stats.exact_verifications;
+    if (!exact_ok()) {
+      nl.set_sizes(checkpoint);
+      ctx.update();
+      stats.downsizes -= since_checkpoint;
+      ++stats.chunk_rollbacks;
+    }
+  }
+
+  ctx.update();
+  stats.area_after_um2 = ctx.area_um2();
+  return stats;
+}
 
 /// How the bench creates shrink headroom before recovery runs.
 enum class Headroom {
@@ -155,7 +276,7 @@ TEST_P(AreaRecoveryParallel, IdenticalAcrossThreadCounts) {
 TEST_P(AreaRecoveryParallel, MatchesPrePortSerialLoop) {
   Bench legacy(circuit(), headroom());
   const auto before = legacy.nl.sizes();
-  const AreaRecoveryStats ref = detail::recover_area_reference(*legacy.ctx, options());
+  const AreaRecoveryStats ref = recover_area_reference(*legacy.ctx, options());
   expect_stats_match_netlist(before, legacy.nl.sizes(), ref);
 
   for (const std::size_t threads : {1u, 4u}) {
@@ -194,7 +315,7 @@ TEST(AreaRecoveryEquivalence, MatchesPrePortSerialLoopOnC432) {
                                                                        : "statistical");
     Bench legacy(circuits::make_table1_circuit("c432"));
     const AreaRecoveryStats ref =
-        detail::recover_area_reference(*legacy.ctx, options_for(criterion));
+        recover_area_reference(*legacy.ctx, options_for(criterion));
     EXPECT_GT(ref.downsizes, 0u);
 
     const RunResult ported =
@@ -260,7 +381,7 @@ TEST(AreaRecoveryOptions, ExactBudgetsUseCallerFullSstaOptions) {
   // And the reference loop agrees when handed the same options: the bugfix
   // is the plumbing, not a behaviour change.
   Bench twin(circuits::make_cla_adder(8));
-  const AreaRecoveryStats ref = detail::recover_area_reference(*twin.ctx, opt);
+  const AreaRecoveryStats ref = recover_area_reference(*twin.ctx, opt);
   EXPECT_EQ(stats.downsizes, ref.downsizes);
   EXPECT_EQ(b.nl.sizes(), twin.nl.sizes());
 }

@@ -5,12 +5,13 @@
 // implementation" is reproduced here from first principles through the
 // public API only (the same NLDM lookups, the same accumulation orders), so
 // a regression in either the serial path or the wavefront path fails
-// loudly. The what-if cone replay (the third wavefront kernel) is pinned
-// through a parallel-context FULLSSTA speculation against a serial-context
-// reference.
+// loudly. The what-if cone replays are pinned through parallel-context
+// FULLSSTA, FASSTA and DSTA speculations against serial-context references.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -298,20 +299,21 @@ TEST(LevelizedUpdate, UpdateThrowsAfterStructuralNetlistEdit) {
   EXPECT_THROW(b.ctx->update(), std::logic_error);
 }
 
-// The third wavefront kernel: the what-if cone replay (timing/cone.cpp) and
-// the FULLSSTA analyzer's pdf half. A multi-resize speculation scored on a
+// The what-if cone replays: the snapshot half (timing/cone.cpp) and each
+// cone engine's half (FULLSSTA, FASSTA, DSTA), on both the reconvergent and
+// the balanced circuit. A multi-resize speculation scored on a
 // parallel-everything configuration must match the all-serial one bitwise —
 // score AND committed base.
 TEST(LevelizedWhatIf, ParallelConeReplayMatchesSerial) {
-  const auto run = [](std::size_t threads) {
+  const auto run = [](const char* engine, int kind, std::size_t threads) {
     sta::TimingOptions topt;
     topt.threads = threads;
     topt.min_level_width_for_parallel = threads == 1 ? 16 : 1;
-    Bench b(circuits::make_cla_adder(8), topt);
+    Bench b(circuit_for(kind), topt);
 
     timing::AnalyzerOptions aopt;
     aopt.fullssta.threads = threads;
-    const auto analyzer = timing::make_analyzer("fullssta", aopt);
+    const auto analyzer = timing::make_analyzer(engine, aopt);
     (void)analyzer->analyze(*b.ctx);
 
     // A deterministic multi-resize wave: bump the first 6 mapped gates.
@@ -328,13 +330,24 @@ TEST(LevelizedWhatIf, ParallelConeReplayMatchesSerial) {
     const double score_sigma = spec->score().sigma_ps;
     spec->commit();
     const timing::Summary& base = analyzer->current();
-    return std::tuple(score_mean, score_sigma, base.mean_ps, base.sigma_ps, b.nl.sizes());
+    std::vector<double> node_moments;
+    for (const sta::NodeMoments& m : base.node) {
+      node_moments.push_back(m.mean_ps);
+      node_moments.push_back(m.sigma_ps);
+    }
+    return std::tuple(score_mean, score_sigma, base.mean_ps, base.sigma_ps, node_moments,
+                      b.nl.sizes());
   };
 
-  const auto ref = run(1);
-  for (const std::size_t threads : {2u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    EXPECT_EQ(run(threads), ref);
+  for (const char* engine : {"fullssta", "fassta", "dsta"}) {
+    for (const int kind : {0, 1}) {
+      const auto ref = run(engine, kind, 1);
+      for (const std::size_t threads : {2u, 8u}) {
+        SCOPED_TRACE(std::string(engine) + " on " + circuit_name(kind) +
+                     ", threads=" + std::to_string(threads));
+        EXPECT_EQ(run(engine, kind, threads), ref);
+      }
+    }
   }
 }
 
