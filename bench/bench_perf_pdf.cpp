@@ -1,8 +1,15 @@
 // P2 — discrete-pdf operation microbenchmarks (google-benchmark): the cost
-// of FULLSSTA's primitive sum/max at the paper's sampling rates.
+// of FULLSSTA's primitive sum/max at the paper's sampling rates (rung 1 of
+// the measurement ladder), and of one gate's arrival-pdf fold built from
+// them (rung 2). Snapshot: scripts/bench_snapshot.sh BENCH_pdf_kernel.json.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "bench_main.h"
+#include "netlist/netlist.h"
 #include "pdf/discrete_pdf.h"
+#include "ssta/fullssta.h"
 
 namespace {
 
@@ -52,6 +59,35 @@ void BM_Quantile(benchmark::State& state) {
 }
 BENCHMARK(BM_Quantile);
 
+// Per-gate propagation: ssta::gate_arrival_pdf, the FULLSSTA kernel, over
+// 1/2/4 fanins at the default 13 samples — per arc one delay normal and one
+// sum, then a max per extra arc. Fanin arrivals are distinct normals, as
+// they would be a few levels deep.
+void BM_GateFold(benchmark::State& state) {
+  const auto fanins = static_cast<std::size_t>(state.range(0));
+  const statsizer::ssta::FullSstaOptions options;  // 13 samples, +-4 sigma
+  statsizer::netlist::Gate gate;
+  std::vector<DiscretePdf> arrival;
+  std::vector<double> delay;
+  std::vector<double> sigma;
+  for (std::size_t i = 0; i < fanins; ++i) {
+    const double k = static_cast<double>(i);
+    gate.fanins.push_back(static_cast<statsizer::netlist::GateId>(i));
+    arrival.push_back(
+        DiscretePdf::normal(200.0 + 6.0 * k, 12.0 + k, options.samples_per_pdf));
+    delay.push_back(30.0 + 2.0 * k);
+    sigma.push_back(3.0 + 0.5 * k);
+  }
+  const auto arrival_of = [&](statsizer::netlist::GateId f) -> const DiscretePdf& {
+    return arrival[f];
+  };
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(statsizer::ssta::gate_arrival_pdf(
+        gate, delay.data(), sigma.data(), arrival_of, options));
+  }
+}
+BENCHMARK(BM_GateFold)->Arg(1)->Arg(2)->Arg(4);
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) { return statsizer::bench::run_main(argc, argv); }

@@ -17,6 +17,13 @@
 # design-rule sweep (BM_DrcFullSweep: preflight cost + wavefront scaling):
 #   scripts/bench_snapshot.sh BENCH_drc_sweep.json
 #
+# An output path matching *pdf* selects the bench_perf_pdf binary instead
+# (rungs 1-2 of the measurement ladder: BM_NormalDiscretize/BM_Sum/BM_Max,
+# the discrete-pdf kernel, and BM_GateFold, one gate's arrival-pdf fold over
+# 1/2/4 fanins). These run in microseconds, so the snapshot takes 10
+# repetitions and records their aggregates (mean, median, stddev, cv):
+#   scripts/bench_snapshot.sh BENCH_pdf_kernel.json
+#
 # An output path matching *server* selects the bench_server binary instead
 # (BM_ServerMixed: jobs/sec + p50/p99 client latency at 1/2/8 concurrent
 # clients against a shared serving session):
@@ -35,9 +42,15 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_update_levelized.json}"
 BIN=bench_perf_engines
+REPETITIONS=1
 case "${OUT}" in
   *isle_yield*) DEFAULT_FILTER='BM_IsleYield|BM_PlainMcYield' ;;
   *drc_sweep*) DEFAULT_FILTER='BM_DrcFullSweep' ;;
+  *pdf*)
+    BIN=bench_perf_pdf
+    DEFAULT_FILTER='BM_NormalDiscretize|BM_Sum|BM_Max|BM_GateFold'
+    REPETITIONS=10
+    ;;
   *server*)
     BIN=bench_server
     DEFAULT_FILTER='BM_ServerMixed'
@@ -65,6 +78,8 @@ WORKLOADS="$("./build/${BIN}" --benchmark_list_tests \
   --context "git_sha=${GIT_SHA}" \
   --context "workloads=${WORKLOADS}" \
   --benchmark_filter="${FILTER}" \
-  --benchmark_min_time=0.2
+  --benchmark_min_time=0.2 \
+  --benchmark_repetitions="${REPETITIONS}" \
+  --benchmark_report_aggregates_only=true
 
 echo "bench_snapshot.sh: wrote ${OUT} (git_sha=${GIT_SHA}, workloads=${WORKLOADS})"

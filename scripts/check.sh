@@ -23,6 +23,12 @@
 #                                    # tracked C++ sources (.clang-format);
 #                                    # skipped with a warning when
 #                                    # clang-format is not installed
+#   scripts/check.sh --perfbench     # run the benchmark harness's own
+#                                    # tests (python3 -m unittest over
+#                                    # perfbench/test_*.py: percentile rule,
+#                                    # pass time, span self time, seed ->
+#                                    # byte-identical inputs; the input test
+#                                    # builds the driver on first use)
 #   scripts/check.sh --table1-smoke  # additionally run
 #                                    # bench_table1 --quick --threads 2 as a
 #                                    # post-ctest end-to-end smoke check
@@ -73,6 +79,7 @@ PARANOID=0
 LINT=0
 TIDY=0
 FORMAT=0
+PERFBENCH=0
 SMOKE=0
 PARSER=0
 YIELD=0
@@ -86,6 +93,7 @@ for arg in "$@"; do
     --lint) LINT=1 ;;
     --tidy) TIDY=1 ;;
     --format) FORMAT=1 ;;
+    --perfbench) PERFBENCH=1 ;;
     --table1-smoke) SMOKE=1 ;;
     --parser-smoke) PARSER=1 ;;
     --yield-smoke) YIELD=1 ;;
@@ -93,8 +101,8 @@ for arg in "$@"; do
     --serve-smoke) SERVE=1 ;;
     *)
       echo "usage: scripts/check.sh [--asan] [--tsan] [--paranoid] [--lint] [--tidy]" \
-           "[--format] [--table1-smoke] [--parser-smoke] [--yield-smoke] [--drc]" \
-           "[--serve-smoke]" >&2
+           "[--format] [--perfbench] [--table1-smoke] [--parser-smoke] [--yield-smoke]" \
+           "[--drc] [--serve-smoke]" >&2
       exit 2
       ;;
   esac
@@ -198,6 +206,14 @@ if [[ "${TIDY}" == 1 ]]; then
   else
     echo "check.sh: WARNING: clang-tidy not installed; tidy gate SKIPPED" >&2
   fi
+fi
+
+if [[ "${PERFBENCH}" == 1 ]]; then
+  # The benchmark harness is code too: its percentile rule, pass-time and
+  # self-time computations and its seeded input generator decide what the
+  # benchmark reports, so its own tests run like any other suite.
+  echo "check.sh: perfbench harness tests"
+  python3 -m unittest discover -s perfbench -p 'test_*.py'
 fi
 
 if [[ "${SMOKE}" == 1 ]]; then

@@ -22,12 +22,15 @@ class DiscretePdf {
 
   /// Discretization of Normal(mean, sigma) over +-span_sigmas using exact bin
   /// masses (CDF differences), @p samples grid points. sigma == 0 degenerates
-  /// to a point mass.
+  /// to a point mass. Throws std::invalid_argument on a negative sigma or a
+  /// non-finite mean, sigma or span_sigmas.
   static DiscretePdf normal(double mean, double sigma, std::size_t samples = 13,
                             double span_sigmas = 4.0);
 
-  /// Raw construction; masses are normalized to sum 1. Throws on empty or
-  /// all-zero masses, or negative entries.
+  /// Raw construction; masses are normalized to sum 1. Throws
+  /// std::invalid_argument on empty or all-zero masses, negative or
+  /// non-finite entries, a non-finite origin, or a negative or non-finite
+  /// step.
   static DiscretePdf from_masses(double origin, double step, std::vector<double> masses);
 
   // -- grid access -------------------------------------------------------------

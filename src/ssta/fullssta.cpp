@@ -1,5 +1,9 @@
 #include "ssta/fullssta.h"
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include "debug/validate.h"
 #include "util/check.h"
 
@@ -8,7 +12,19 @@ namespace statsizer::ssta {
 using netlist::GateId;
 using pdf::DiscretePdf;
 
+void check_options(const FullSstaOptions& options) {
+  if (options.samples_per_pdf < 2) {
+    throw std::invalid_argument("FullSstaOptions::samples_per_pdf must be >= 2, got " +
+                                std::to_string(options.samples_per_pdf));
+  }
+  if (!std::isfinite(options.span_sigmas) || options.span_sigmas <= 0.0) {
+    throw std::invalid_argument("FullSstaOptions::span_sigmas must be finite and > 0, got " +
+                                std::to_string(options.span_sigmas));
+  }
+}
+
 FullSstaResult run_fullssta(const sta::TimingContext& ctx, const FullSstaOptions& options) {
+  check_options(options);
   const auto& nl = ctx.netlist();
 
   if constexpr (debug::kParanoid) {

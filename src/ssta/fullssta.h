@@ -8,6 +8,7 @@
 // values FASSTA later uses as subcircuit boundary conditions.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "debug/validate.h"
@@ -64,8 +65,8 @@ template <typename ArrivalOf>
   for (std::size_t i = 0; i < g.fanins.size(); ++i) {
     const pdf::DiscretePdf delay =
         pdf::DiscretePdf::normal(arc_delay[i], arc_sigma[i], samples, options.span_sigmas);
-    const pdf::DiscretePdf through = pdf::sum(arrival_of(g.fanins[i]), delay, samples);
-    acc = (i == 0) ? through : pdf::max(acc, through, samples);
+    pdf::DiscretePdf through = pdf::sum(arrival_of(g.fanins[i]), delay, samples);
+    acc = (i == 0) ? std::move(through) : pdf::max(acc, through, samples);
   }
   if constexpr (debug::kParanoid) {
     // Exceptions from a wavefront worker are captured and rethrown on the
@@ -91,6 +92,11 @@ template <typename ArrivalOf>
   }
   return out;
 }
+
+/// Throws std::invalid_argument naming the offending field when @p options
+/// cannot describe a pdf grid: samples_per_pdf < 2, or span_sigmas not finite
+/// and positive. run_fullssta and the "fullssta" analyzer factory call it.
+void check_options(const FullSstaOptions& options);
 
 /// Runs discrete-pdf SSTA over the whole netlist.
 [[nodiscard]] FullSstaResult run_fullssta(const sta::TimingContext& ctx,

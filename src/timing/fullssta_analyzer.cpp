@@ -125,6 +125,7 @@ class FullSstaAnalyzer final : public BoundAnalyzer {
 }  // namespace
 
 std::unique_ptr<Analyzer> make_fullssta_analyzer(const AnalyzerOptions& options) {
+  ssta::check_options(options.fullssta);
   return std::make_unique<FullSstaAnalyzer>(options);
 }
 

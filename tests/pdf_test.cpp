@@ -1,4 +1,6 @@
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -42,6 +44,34 @@ TEST(DiscretePdf, FromMassesNormalizes) {
   EXPECT_THROW(DiscretePdf::from_masses(0, 1, {}), std::invalid_argument);
   EXPECT_THROW(DiscretePdf::from_masses(0, 1, {0.0, 0.0}), std::invalid_argument);
   EXPECT_THROW(DiscretePdf::from_masses(0, 1, {1.0, -0.5}), std::invalid_argument);
+}
+
+TEST(DiscretePdf, NormalRejectsNonFinite) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(DiscretePdf::normal(0.0, nan), std::invalid_argument);
+  EXPECT_THROW(DiscretePdf::normal(0.0, inf), std::invalid_argument);
+  EXPECT_THROW(DiscretePdf::normal(nan, 1.0), std::invalid_argument);
+  EXPECT_THROW(DiscretePdf::normal(-inf, 1.0), std::invalid_argument);
+  EXPECT_THROW(DiscretePdf::normal(0.0, 1.0, 13, nan), std::invalid_argument);
+  EXPECT_THROW(DiscretePdf::normal(0.0, 1.0, 13, inf), std::invalid_argument);
+  // Finite degenerate input is unaffected: one sample is still a point.
+  EXPECT_EQ(DiscretePdf::normal(3.0, 1.0, 1).mean(), 3.0);
+}
+
+TEST(DiscretePdf, FromMassesRejectsNonFinite) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(DiscretePdf::from_masses(0, 1, {1.0, nan}), std::invalid_argument);
+  EXPECT_THROW(DiscretePdf::from_masses(0, 1, {1.0, inf}), std::invalid_argument);
+  EXPECT_THROW(DiscretePdf::from_masses(0, 1, {1e308, 1e308}), std::invalid_argument);
+  EXPECT_THROW(DiscretePdf::from_masses(nan, 1, {1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(DiscretePdf::from_masses(inf, 1, {1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(DiscretePdf::from_masses(0, nan, {1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(DiscretePdf::from_masses(0, inf, {1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(DiscretePdf::from_masses(0, -1.0, {1.0, 1.0}), std::invalid_argument);
+  // A zero step stays legal (a single mass is stored as a point).
+  EXPECT_TRUE(DiscretePdf::from_masses(2.0, 0.0, {5.0}).is_point());
 }
 
 TEST(DiscretePdf, CdfQuantileInverse) {

@@ -1,4 +1,7 @@
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +11,7 @@
 #include "ssta/fullssta.h"
 #include "ssta/monte_carlo.h"
 #include "techmap/mapper.h"
+#include "timing/analyzer.h"
 #include "util/numeric.h"
 
 namespace statsizer::ssta {
@@ -54,6 +58,43 @@ TEST(FullSsta, ChainMomentsAreAnalytic) {
   }
   EXPECT_NEAR(r.mean_ps, mean, 1e-6 * mean);
   EXPECT_NEAR(r.sigma_ps, std::sqrt(var), 0.01 * std::sqrt(var));
+}
+
+TEST(FullSsta, RejectsInvalidOptions) {
+  // Before the check, samples_per_pdf 0/1 silently returned sigma = 0 and a
+  // non-positive span gave a point mass or a misleading "negative mass".
+  Bench b(inverter_chain(5));
+  const auto expect_rejected = [&](const FullSstaOptions& o, const std::string& field) {
+    try {
+      (void)run_fullssta(*b.ctx, o);
+      ADD_FAILURE() << "run_fullssta accepted an invalid " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+    timing::AnalyzerOptions ao;
+    ao.fullssta = o;
+    try {
+      (void)timing::make_analyzer("fullssta", ao);
+      ADD_FAILURE() << "the fullssta analyzer accepted an invalid " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  for (const std::size_t samples : {0u, 1u}) {
+    FullSstaOptions o;
+    o.samples_per_pdf = samples;
+    expect_rejected(o, "samples_per_pdf");
+  }
+  for (const double span : {0.0, -2.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    FullSstaOptions o;
+    o.span_sigmas = span;
+    expect_rejected(o, "span_sigmas");
+  }
+  FullSstaOptions smallest;
+  smallest.samples_per_pdf = 2;
+  smallest.span_sigmas = 0.5;
+  EXPECT_GT(run_fullssta(*b.ctx, smallest).sigma_ps, 0.0);
 }
 
 TEST(FullSsta, NodeMomentsMonotoneAlongChain) {
