@@ -129,9 +129,12 @@ void BM_MonteCarloThreads(benchmark::State& state, const std::string& name) {
                  "ps sigma=" + std::to_string(reference.sigma_ps) + "ps");
 }
 
-/// Parallel StatisticalGreedy scaling: candidate scoring fans across
-/// state.range(0) workers, with a one-shot check that every thread count
-/// reproduces the 1-thread run bitwise (trajectory, stats, final sizes).
+/// Parallel StatisticalGreedy scaling: candidate scoring and the ordered
+/// exact-confirmation scans fan across state.range(0) workers, with a
+/// one-shot check that every thread count reproduces the 1-thread run
+/// bitwise (trajectory, stats, final sizes). Counters report the scans'
+/// scored / walked / committed trials, so the per-width waste shows next to
+/// the time.
 /// Each iteration restores the baseline sizes so successive runs optimize
 /// the same starting point.
 void BM_SizerThreads(benchmark::State& state, const std::string& name) {
@@ -154,6 +157,7 @@ void BM_SizerThreads(benchmark::State& state, const std::string& name) {
   const auto parallel = run_with(static_cast<std::size_t>(state.range(0)));
   if (parallel.resizes != reference.resizes ||
       parallel.fassta_evaluations != reference.fassta_evaluations ||
+      parallel.confirm_trials != reference.confirm_trials ||
       parallel.final_.mean_ps != reference.final_.mean_ps ||
       parallel.final_.sigma_ps != reference.final_.sigma_ps ||
       flow.netlist().sizes() != ref_sizes) {
@@ -163,9 +167,16 @@ void BM_SizerThreads(benchmark::State& state, const std::string& name) {
     return;
   }
 
+  // Per-width waste of the ordered confirmation scans: trials scored,
+  // trials the serial walk decides, and resizes committed (per run).
+  opt::StatisticalSizerStats last = parallel;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_with(static_cast<std::size_t>(state.range(0))));
+    last = run_with(static_cast<std::size_t>(state.range(0)));
+    benchmark::DoNotOptimize(last);
   }
+  state.counters["scored"] = static_cast<double>(last.confirm_scored);
+  state.counters["walked"] = static_cast<double>(last.confirm_trials);
+  state.counters["committed"] = static_cast<double>(last.resizes);
   state.SetLabel(std::to_string(reference.fassta_evaluations) + " fassta evals/run");
 
   // Leave the shared fixture at its baseline point for later benchmarks.
@@ -244,12 +255,13 @@ void BM_WhatIfConfirm(benchmark::State& state, const std::string& name) {
 }
 
 /// Parallel area recovery — the constrained-mode cleanup on the analyzer
-/// what-if API: screening waves of per-gate downsize speculations fan across
-/// state.range(0) workers (each holds a private fanout-cone overlay),
+/// what-if API: ordered screening scans score per-gate downsize speculations
+/// across state.range(0) workers (each holds a private fanout-cone overlay),
 /// commits apply serially in descending-area order, and every kChunk
 /// accepted downsizes are re-verified by one atomic multi-resize FULLSSTA
 /// speculation. A one-shot check re-asserts that every thread count
 /// reproduces the 1-thread run bitwise (sizes, stats, final summary).
+/// Counters report scored / walked / committed trials per run.
 void BM_AreaRecoveryThreads(benchmark::State& state, const std::string& name) {
   auto& flow = flow_for(name);
   const auto baseline_sizes = flow.netlist().sizes();
@@ -283,9 +295,16 @@ void BM_AreaRecoveryThreads(benchmark::State& state, const std::string& name) {
     return;
   }
 
+  // Per-width waste of the ordered screening scans: trials scored, trials
+  // the serial walk decides, and downsizes committed (per run).
+  opt::AreaRecoveryStats last = parallel;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_with(static_cast<std::size_t>(state.range(0))));
+    last = run_with(static_cast<std::size_t>(state.range(0)));
+    benchmark::DoNotOptimize(last);
   }
+  state.counters["scored"] = static_cast<double>(last.screen_scored);
+  state.counters["walked"] = static_cast<double>(last.screen_trials);
+  state.counters["committed"] = static_cast<double>(last.downsizes);
   state.SetLabel(std::to_string(reference.downsizes) + " downsizes, " +
                  std::to_string(reference.screen_trials) + " screen trials/run");
 

@@ -136,7 +136,7 @@ fi
 # would surface — at ~10 s sanitized. AnalyzerConformance/FullSstaWhatIf stay
 # in too: the overlay engine's private-state discipline is what the sanitizer
 # should see. AreaRecovery{Parallel,Equivalence,Rollback,Options} stay in as
-# well: the screening waves' per-speculation overlays, the incremental
+# well: the screening scans' per-speculation overlays, the incremental
 # snapshot patching (TimingContext::apply_snapshot_patch), and the
 # chunk-rollback restore path are all concurrent-lifetime code the sanitizer
 # should walk. LevelizedUpdate/LevelizedWhatIf stay in too: the wavefront
@@ -160,10 +160,10 @@ fi
 
 if [[ "${TSAN}" == 1 ]]; then
   # Race-check the code that actually runs concurrently: the parallel_for /
-  # ThreadPool primitives, the wavefront propagation kernels, the parallel
-  # speculative scoring waves of the sizer and area recovery, the sharded
-  # MC/ISLE draw loops, and the analyzer conformance suite (which drives
-  # concurrent speculations through every engine). TSan detects races through
+  # first_accepted / ThreadPool primitives, the wavefront propagation
+  # kernels, the ordered speculative scans of the sizer and area recovery,
+  # the sharded MC/ISLE draw loops, and the analyzer conformance suite (which
+  # drives concurrent speculations through every engine). TSan detects races through
   # happens-before analysis, so findings do not depend on the host's core
   # count. scripts/tsan.supp documents every tolerated report (currently
   # none); halt_on_error makes any unsuppressed report fail the run loudly.
@@ -173,7 +173,7 @@ if [[ "${TSAN}" == 1 ]]; then
   # worker triangle are exactly the lifetimes TSan should walk.
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerConformance|FullSstaWhatIf|AnalyzerRegistry|EngineSelection|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer'
+    -R 'AnalyzerConformance|FullSstaWhatIf|AnalyzerRegistry|EngineSelection|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|FirstAccepted|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"

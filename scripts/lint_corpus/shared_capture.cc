@@ -7,6 +7,9 @@
 namespace util {
 template <typename Body>
 void parallel_for(std::size_t total, std::size_t chunk, std::size_t threads, Body&& body);
+template <typename Score, typename Decide>
+std::size_t first_accepted(std::size_t count, std::size_t threads, Score&& score,
+                           Decide&& decide);
 }
 namespace sta {
 struct LevelSchedule {};
@@ -80,4 +83,32 @@ void racy_level_body(sta::LevelSchedule schedule) {
   sta::run_levels(schedule, "corpus/level", 4, 16, 1, [&](int id) {
     visited.push_back(id);  // expect-lint: shared-mutable-capture
   });
+}
+
+// first_accepted's score body runs on pool helpers: shared growth fires.
+// Its decide body runs on the caller only, in order, so counting there is
+// the sanctioned pattern and stays silent.
+std::size_t racy_scan_score(std::size_t n) {
+  std::vector<std::size_t> scored;
+  std::size_t decided = 0;
+  return util::first_accepted(
+      n, 4,
+      [&](std::size_t i) {
+        scored.push_back(i);  // expect-lint: shared-mutable-capture
+      },
+      [&](std::size_t i) {
+        ++decided;  // silent: decide runs on the caller
+        return i == n / 2;
+      });
+}
+
+void per_slot_scan(std::size_t n) {
+  std::vector<double> costs(n, 0.0);
+  std::size_t decided = 0;
+  (void)util::first_accepted(
+      n, 4, [&](std::size_t i) { costs[i] = static_cast<double>(i); },  // silent: per-slot
+      [&](std::size_t i) {
+        decided += 1;  // silent: decide runs on the caller
+        return costs[i] > 3.0;
+      });
 }

@@ -9,6 +9,9 @@
 namespace util {
 template <typename Body>
 void parallel_for(std::size_t total, std::size_t chunk, std::size_t threads, Body&& body);
+template <typename Score, typename Decide>
+std::size_t first_accepted(std::size_t count, std::size_t threads, Score&& score,
+                           Decide&& decide);
 }
 namespace sta {
 template <typename Body>
@@ -72,4 +75,18 @@ void waived_throw(std::size_t n, std::vector<double>& out) {
       out[i] = 1.0;
     }
   });
+}
+
+// first_accepted: the score body runs on pool helpers, the decide body on the
+// caller only.
+std::size_t throwing_scan(std::size_t n, const std::vector<double>& in) {
+  return util::first_accepted(
+      n, 4,
+      [&](std::size_t i) {
+        if (in[i] < 0.0) throw std::runtime_error("negative");  // expect-lint: throw-in-parallel
+      },
+      [&](std::size_t i) {
+        if (in[i] > 1e9) throw std::runtime_error("overflow");  // silent: caller-side decide
+        return in[i] > 1.0;
+      });
 }

@@ -32,14 +32,16 @@ break it before they ever reach a test:
 
   shared-mutable-capture  An inline by-reference-capturing lambda handed to
                           parallel_for / run_wavefront_level / run_levels
-                          whose body grows a captured container (push_back /
-                          emplace_back / insert / ...) or compound-assigns a
-                          captured scalar. Worker bodies must write per-slot
-                          (v[i] = ...) or into per-chunk locals merged after
-                          the join.
+                          (or the first lambda — the score body — handed to
+                          first_accepted; its decide body runs on the caller
+                          only and is exempt) whose body grows a captured
+                          container (push_back / emplace_back / insert / ...)
+                          or compound-assigns a captured scalar. Worker
+                          bodies must write per-slot (v[i] = ...) or into
+                          per-chunk locals merged after the join.
 
-  throw-in-parallel       A throw expression inside an inline lambda handed
-                          to parallel_for / run_wavefront_level / run_levels.
+  throw-in-parallel       A throw expression inside an inline worker lambda
+                          (the same bodies as shared-mutable-capture).
                           An exception escaping a pool worker is
                           std::terminate (and even a caught-and-rethrown one
                           races the other workers for which failure wins),
@@ -285,6 +287,8 @@ def check_unordered(code: str, findings: list, path: Path) -> None:
 
 PARALLEL_CALL_RE = re.compile(
     r"\b(?:util\s*::\s*|sta\s*::\s*)?(?:parallel_for|run_wavefront_level|run_levels)\s*\(")
+# first_accepted(count, threads, score, decide): only score runs on helpers.
+SCAN_CALL_RE = re.compile(r"\b(?:util\s*::\s*)?first_accepted\s*\(")
 GROWTH_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*\.\s*(push_back|emplace_back|emplace|insert|erase|clear|resize)\s*\(")
 COMPOUND_RE = re.compile(
@@ -334,6 +338,18 @@ def lambda_args_of_call(code: str, call_start: int):
             j += 1
 
 
+def worker_lambdas(code: str):
+    """Yields (capture_list, body, body_offset) for every inline lambda that
+    may run on a pool worker: all lambdas handed to the parallel_for family,
+    and the first (score) lambda handed to first_accepted."""
+    for call in PARALLEL_CALL_RE.finditer(code):
+        yield from lambda_args_of_call(code, call.start())
+    for call in SCAN_CALL_RE.finditer(code):
+        for lam in lambda_args_of_call(code, call.start()):
+            yield lam
+            break
+
+
 def locals_of_body(body: str) -> set:
     """Heuristic set of names declared inside a lambda body (or taken as its
     parameters — handled by the caller)."""
@@ -348,39 +364,38 @@ def locals_of_body(body: str) -> set:
 
 
 def check_shared_capture(code: str, findings: list, path: Path) -> None:
-    for call in PARALLEL_CALL_RE.finditer(code):
-        for capture, body, body_offset in lambda_args_of_call(code, call.start()):
-            if "&" not in capture:
-                continue  # by-value captures cannot race through the capture
-            declared = locals_of_body(body)
-            # Lambda parameters are per-invocation, hence safe: parse the
-            # (...) between the capture list and the body open-brace.
-            pre = code[:body_offset]
-            paren_close = pre.rfind(")")
-            paren_open = pre.rfind("(", 0, paren_close) if paren_close > 0 else -1
-            if 0 <= paren_open < paren_close:
-                for p in pre[paren_open + 1:paren_close].split(","):
-                    pm = re.search(r"([A-Za-z_]\w*)\s*$", p.strip())
-                    if pm:
-                        declared.add(pm.group(1))
-            for gm in GROWTH_RE.finditer(body):
-                name = gm.group(1)
-                if name in declared:
-                    continue
-                findings.append(Finding(
-                    path, line_of(code, body_offset + gm.start()), "shared-mutable-capture",
-                    f"'{name}.{gm.group(2)}' grows a by-reference captured container "
-                    f"inside a parallel worker body; write per-slot or merge "
-                    f"per-chunk locals after the join"))
-            for cm in COMPOUND_RE.finditer(body):
-                name = cm.group(1) or cm.group(2)
-                if name in declared:
-                    continue
-                findings.append(Finding(
-                    path, line_of(code, body_offset + cm.start()), "shared-mutable-capture",
-                    f"compound update of by-reference captured '{name}' inside a "
-                    f"parallel worker body; accumulate into a per-chunk local or "
-                    f"a per-slot element instead"))
+    for capture, body, body_offset in worker_lambdas(code):
+        if "&" not in capture:
+            continue  # by-value captures cannot race through the capture
+        declared = locals_of_body(body)
+        # Lambda parameters are per-invocation, hence safe: parse the
+        # (...) between the capture list and the body open-brace.
+        pre = code[:body_offset]
+        paren_close = pre.rfind(")")
+        paren_open = pre.rfind("(", 0, paren_close) if paren_close > 0 else -1
+        if 0 <= paren_open < paren_close:
+            for p in pre[paren_open + 1:paren_close].split(","):
+                pm = re.search(r"([A-Za-z_]\w*)\s*$", p.strip())
+                if pm:
+                    declared.add(pm.group(1))
+        for gm in GROWTH_RE.finditer(body):
+            name = gm.group(1)
+            if name in declared:
+                continue
+            findings.append(Finding(
+                path, line_of(code, body_offset + gm.start()), "shared-mutable-capture",
+                f"'{name}.{gm.group(2)}' grows a by-reference captured container "
+                f"inside a parallel worker body; write per-slot or merge "
+                f"per-chunk locals after the join"))
+        for cm in COMPOUND_RE.finditer(body):
+            name = cm.group(1) or cm.group(2)
+            if name in declared:
+                continue
+            findings.append(Finding(
+                path, line_of(code, body_offset + cm.start()), "shared-mutable-capture",
+                f"compound update of by-reference captured '{name}' inside a "
+                f"parallel worker body; accumulate into a per-chunk local or "
+                f"a per-slot element instead"))
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +406,14 @@ THROW_RE = re.compile(r"\bthrow\b")
 
 
 def check_throw_in_parallel(code: str, findings: list, path: Path) -> None:
-    for call in PARALLEL_CALL_RE.finditer(code):
-        for _capture, body, body_offset in lambda_args_of_call(code, call.start()):
-            for tm in THROW_RE.finditer(body):
-                findings.append(Finding(
-                    path, line_of(code, body_offset + tm.start()), "throw-in-parallel",
-                    "throw inside a parallel worker body: an exception escaping a "
-                    "pool thread is std::terminate, and which worker's failure "
-                    "surfaces depends on scheduling; record a per-slot status and "
-                    "fail deterministically after the join"))
+    for _capture, body, body_offset in worker_lambdas(code):
+        for tm in THROW_RE.finditer(body):
+            findings.append(Finding(
+                path, line_of(code, body_offset + tm.start()), "throw-in-parallel",
+                "throw inside a parallel worker body: an exception escaping a "
+                "pool thread is std::terminate, and which worker's failure "
+                "surfaces depends on scheduling; record a per-slot status and "
+                "fail deterministically after the join"))
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ struct FlowOptions {
   opt::RecoveryCriterion recovery_criterion = opt::RecoveryCriterion::kDeterministicArrival;
   double recovery_tolerance = 0.003;
   std::size_t post_recovery_polish_iterations = 20;
-  /// Worker threads for StatisticalGreedy's candidate scoring and area
-  /// recovery's screening waves, applied to run_baseline's stages and to
+  /// Worker threads for StatisticalGreedy's candidate scoring and exact
+  /// confirmations and area recovery's screening scans, applied to run_baseline's stages and to
   /// optimize() when no overrides are passed (explicit overrides carry their
   /// own threads field, which optimize() also forwards to its recovery
   /// stage). 1 = serial, 0 = hardware concurrency; results are identical for

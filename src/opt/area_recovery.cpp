@@ -1,6 +1,7 @@
 #include "opt/area_recovery.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -141,20 +142,13 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
     return ok;
   };
 
-  // Wave geometry: with a concurrent screen engine, up to a few times the
-  // worker count of per-gate candidates are speculatively prescored at once;
-  // a commit invalidates the tail (the base moved), so wider waves would
-  // waste speculative scores during accept-heavy stretches. The serial path
-  // scores one trial at a time — zero waste, and the wave walk below makes
-  // the committed sequence independent of the window size, so results are
-  // bitwise-identical for any thread count.
-  const bool parallel_screen =
-      screen->capabilities().concurrent_speculations && options.threads != 1;
-  const std::size_t wave_limit =
-      parallel_screen
-          ? 4 * (options.threads == 0 ? util::ThreadPool::default_thread_count()
-                                      : options.threads)
-          : std::size_t{1};
+  // Screening runs as ordered speculative scans (util::first_accepted):
+  // trials ahead of the walk score in parallel when the screen engine
+  // supports concurrent speculations, and the walk decides them in order on
+  // this thread. The serial path scores one trial at a time.
+  const std::size_t screen_threads =
+      screen->capabilities().concurrent_speculations ? options.threads : 1;
+  std::atomic<std::size_t> scored{0};
 
   bool stopped = false;
   for (std::size_t pass = 0; pass < options.max_passes && !stopped; ++pass) {
@@ -165,77 +159,76 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
     // share and `changed` keeps matching the committed netlist.
     std::size_t changed_since_checkpoint = 0;
 
-    // The wave walk. Serial semantics being reproduced: visit gates in
-    // descending-area order; downsize each one step at a time until a trial
-    // violates a budget (the gate is then done for this pass) or size 0.
-    // Every trial is judged against the committed base holding exactly the
-    // accepts ordered before it. A wave proposes the next candidate of each
-    // gate in the window; the walk scans the fixed order, rejections are
-    // final (their basis matched), and the first acceptance commits and
-    // invalidates the tail — the next wave restarts at the accepting gate
-    // (its next downsize step is the next serial trial).
+    // Serial semantics being reproduced: visit gates in descending-area
+    // order; downsize each one step at a time until a trial violates a
+    // budget (the gate is then done for this pass) or size 0. Every trial is
+    // judged against the committed base holding exactly the accepts ordered
+    // before it. A scan proposes the next downsize of each gate from `pos`
+    // on; rejections are final (their basis matched), and the first
+    // acceptance ends the scan. After its commit the next scan restarts at
+    // the accepting gate (its next downsize step is the next serial trial),
+    // or after it once the gate is at size 0.
+    //
+    // Slot i holds gate order[i]'s trial from its score until decide rejects
+    // it or the commit consumes it; a scan scores at most 2 x threads past
+    // its walk and the next scan rescores those slots first.
+    std::vector<std::unique_ptr<timing::Speculation>> specs(order.size());
     std::size_t pos = 0;
-    std::vector<std::unique_ptr<timing::Speculation>> wave;
     while (pos < order.size() && !stopped) {
-      const std::size_t count = std::min(order.size() - pos, wave_limit);
-      wave.clear();
-      wave.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::uint16_t cur = nl.gate(order[pos + i]).size_index;
-        if (cur == 0) continue;  // defensive: nothing left to shrink
-        wave[i] = screen->propose(order[pos + i], static_cast<std::uint16_t>(cur - 1));
+      const std::size_t count = order.size() - pos;
+      const std::size_t hit = util::first_accepted(
+          count, screen_threads,
+          [&](std::size_t i) {
+            auto& spec = specs[pos + i];
+            spec.reset();  // a stale trial from before the last commit
+            const std::uint16_t cur = nl.gate(order[pos + i]).size_index;
+            if (cur == 0) return;  // defensive: nothing left to shrink
+            spec = screen->propose(order[pos + i], static_cast<std::uint16_t>(cur - 1));
+            (void)spec->score();
+            scored.fetch_add(1, std::memory_order_relaxed);
+          },
+          [&](std::size_t i) {
+            auto& spec = specs[pos + i];
+            if (spec == nullptr) return false;
+            ++stats.screen_trials;
+            const timing::Summary& s = spec->score();  // cached
+            if (screen_cost(s) <= screen_budget &&
+                (!statistical || s.sigma_ps <= screen_sigma_budget)) {
+              return true;
+            }
+            spec.reset();  // rejected: the gate is done for this pass
+            return false;
+          });
+      if (hit == count) break;  // no acceptance left in this pass
+
+      const GateId g = order[pos + hit];
+      // Checkpoint bookkeeping is only consumed by the statistical chunk
+      // verification; the deterministic criterion skips its cost.
+      if (statistical) {
+        note_accept(g, nl.gate(g).size_index);
+        ++changed_since_checkpoint;
+        ++since_checkpoint;
       }
-      if (parallel_screen) {
-        // Chunk 1: trials are coarse (a fanout-cone re-propagation each).
-        util::parallel_for(count, 1, options.threads,
-                           [&](std::size_t begin, std::size_t end, std::size_t) {
-                             for (std::size_t i = begin; i < end; ++i) {
-                               if (wave[i] != nullptr) (void)wave[i]->score();
-                             }
-                           });
+      specs[pos + hit]->commit();  // incremental: patches the snapshot, no update()
+      specs[pos + hit].reset();
+      ++stats.downsizes;
+      ++changed;
+      // Rescan from this gate while it has headroom (the serial loop keeps
+      // downsizing the same gate until a rejection).
+      pos += nl.gate(g).size_index > 0 ? hit : hit + 1;
+      if (statistical && since_checkpoint >= kChunk) {
+        if (verify_chunk()) {
+          changed_since_checkpoint = 0;
+        } else {
+          changed -= changed_since_checkpoint;
+          changed_since_checkpoint = 0;
+          stopped = true;
+        }
       }
-      std::size_t advanced = count;  // whole window decided, no acceptance
-      for (std::size_t i = 0; i < count; ++i) {
-        if (wave[i] == nullptr) continue;
-        ++stats.screen_trials;
-        const timing::Summary& s = wave[i]->score();  // cached when prescored
-        const bool ok = screen_cost(s) <= screen_budget &&
-                        (!statistical || s.sigma_ps <= screen_sigma_budget);
-        if (!ok) {
-          // Rejected: the gate is done for this pass. Free the overlay now
-          // instead of holding every rejected one until the window ends.
-          wave[i].reset();
-          continue;
-        }
-        const GateId g = order[pos + i];
-        // Checkpoint bookkeeping is only consumed by the statistical
-        // chunk verification; the deterministic criterion skips its cost.
-        if (statistical) {
-          note_accept(g, nl.gate(g).size_index);
-          ++changed_since_checkpoint;
-          ++since_checkpoint;
-        }
-        wave[i]->commit();  // incremental: patches the snapshot, no update()
-        ++stats.downsizes;
-        ++changed;
-        // Re-wave at this gate while it has headroom (the serial loop keeps
-        // downsizing the same gate until a rejection).
-        advanced = nl.gate(g).size_index > 0 ? i : i + 1;
-        if (statistical && since_checkpoint >= kChunk) {
-          if (verify_chunk()) {
-            changed_since_checkpoint = 0;
-          } else {
-            changed -= changed_since_checkpoint;
-            changed_since_checkpoint = 0;
-            stopped = true;
-          }
-        }
-        break;  // the commit invalidated the remaining wave
-      }
-      pos += advanced;
     }
     if (changed == 0) break;
   }
+  stats.screen_scored = scored.load(std::memory_order_relaxed);
 
   // Verify the trailing partial chunk.
   if (statistical && since_checkpoint > 0 && !stopped) {

@@ -27,15 +27,19 @@
 // whole chunk back and stops.
 //
 // Concurrency (docs/ARCHITECTURE.md, "Concurrency & determinism contracts"):
-// when the screen engine supports concurrent speculations, a wave of
-// per-gate downsize candidates is scored across util::ThreadPool workers
-// (each speculation holds a private overlay) and the descending-area order
-// is then walked serially — the first acceptance commits and the tail
-// re-speculates against the new base, so every trial is judged against the
-// state holding exactly the commits ordered before it, which is the serial
-// loop's semantics. Accepted downsizes, final sizes, and AreaRecoveryStats
-// are bitwise-identical for any `threads` value, and identical to the
-// pre-port serial mutate-and-rerun loop (pinned by
+// the descending-area walk runs as ordered speculative scans
+// (util::first_accepted). When the screen engine supports concurrent
+// speculations, per-gate downsize trials up to 2 x threads ahead of the walk
+// are scored across util::ThreadPool workers (each speculation holds a
+// private overlay), while the walk decides them in order on the calling
+// thread; the first acceptance ends the scan, its commit moves the base, and
+// the next scan starts at the accepting gate. Every trial is therefore judged
+// against the state holding exactly the commits ordered before it, which is
+// the serial loop's semantics, and an exception surfaces as the serial loop
+// would raise it (the lowest trial it reaches). Accepted downsizes, final
+// sizes, and AreaRecoveryStats (except the scheduling-dependent
+// screen_scored) are bitwise-identical for any `threads` value, and identical
+// to the pre-port serial mutate-and-rerun loop (pinned by
 // tests/area_recovery_parallel_test.cpp against a frozen copy of that loop).
 #pragma once
 
@@ -72,9 +76,9 @@ struct AreaRecoveryOptions {
   /// reported objective use one statistical model (core::Flow plumbs its
   /// options_.fullssta here).
   ssta::FullSstaOptions fullssta;
-  /// Worker threads for the speculative screening waves. 1 = serial on the
-  /// calling thread; 0 = hardware concurrency. Results are bitwise-identical
-  /// for any value.
+  /// Width of the ordered screening scans: trials up to 2 x threads ahead of
+  /// the walk score in parallel. 1 = serial on the calling thread; 0 =
+  /// hardware concurrency. Results are bitwise-identical for any value.
   std::size_t threads = 1;
   /// Screen engine (timing::make_analyzer registry name). Empty = pick by
   /// criterion: "dsta" for kDeterministicArrival, "fassta" for
@@ -90,8 +94,14 @@ struct AreaRecoveryStats {
   /// already subtracted): always equals the per-gate entry-to-exit size-index
   /// drop summed over the netlist.
   std::size_t downsizes = 0;
-  /// Screen-engine what-if trials scored (accepted + rejected).
+  /// Screen-engine what-if trials decided (accepted + rejected): the trials
+  /// the serial loop scores.
   std::size_t screen_trials = 0;
+  /// Screen-engine what-if trials scored. Equals screen_trials at width 1;
+  /// wider runs also score trials past an acceptance that the commit then
+  /// discards (at most 2 x threads per commit), so this one varies with
+  /// scheduling. Observability only: no decision reads it.
+  std::size_t screen_scored = 0;
   /// Exact chunk verifications run (kStatisticalCost only).
   std::size_t exact_verifications = 0;
   /// Chunks whose exact verification failed and were rolled back wholesale.

@@ -1,8 +1,8 @@
 #include "opt/sizer_statistical.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -215,78 +215,65 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     stats.trajectory.push_back(ResizeEvent{stats.iterations, gate, from, to, source});
   };
 
-  // Wave-based speculative confirmation of a fixed-order candidate list.
-  // Each wave proposes a speculation per remaining candidate against the
-  // committed base, scores them — in parallel when the confirm engine
-  // supports concurrent speculations — then walks the fixed order and
-  // commits the first improvement. The commit invalidates the wave (the
-  // base moved), so the tail re-speculates against the new base: candidate
-  // i is always judged against the state containing exactly the commits
-  // ordered before it, which is the serial trial loop's semantics. Scores
-  // are pure functions of (base, candidate), so the decisions — and every
-  // downstream result — are bitwise-identical for any thread count, and
-  // identical between the lazy serial walk and the prescored parallel wave.
-  const bool parallel_confirm =
-      confirm->capabilities().concurrent_speculations && options.threads != 1;
-  // Parallel waves are windowed to a few times the worker count: a commit
-  // invalidates every score after it in the wave, so an unbounded wave would
-  // waste O(commits x tail) speculative scores (and hold that many overlays
-  // in memory at once). The serial path scores lazily, so its window is the
-  // whole tail. The window size never changes the committed sequence — each
-  // candidate is judged against the state holding exactly the commits
-  // ordered before it, whatever the window boundaries.
-  const std::size_t wave_limit =
-      parallel_confirm
-          ? 4 * (options.threads == 0 ? util::ThreadPool::default_thread_count()
-                                      : options.threads)
-          : std::numeric_limits<std::size_t>::max();
+  // Exact confirmation of a fixed-order candidate list: the serial trial
+  // loop — score each candidate against the committed base, commit the
+  // first that beats the accepted cost, carry on after it — run as ordered
+  // speculative scans (util::first_accepted). A scan scores candidates ahead
+  // of its walk, in parallel when the confirm engine supports concurrent
+  // speculations, and stops at the first acceptance; the commit then moves
+  // the base and the next scan starts at the following candidate. Candidate
+  // i is always judged against the state holding exactly the commits ordered
+  // before it, and scores are pure functions of (base, candidate), so the
+  // decisions — and every downstream result — are bitwise-identical for any
+  // thread count.
+  const std::size_t confirm_threads =
+      confirm->capabilities().concurrent_speculations ? options.threads : 1;
   const auto confirm_in_order = [&](std::span<const timing::Resize> ordered,
                                     double& accepted_cost, MoveSource source) {
     std::size_t kept = 0;
+    // Slot i holds candidate i's speculation from its score until decide
+    // rejects it or the commit consumes it. A scan scores at most
+    // 2 x threads past its walk, and the next scan rescores those slots
+    // first, so at most that many overlays (plus the walk's) are ever live.
+    std::vector<std::unique_ptr<timing::Speculation>> specs(ordered.size());
+    std::atomic<std::size_t> scored{0};
     std::size_t next = 0;
-    std::vector<std::unique_ptr<timing::Speculation>> specs;
     while (next < ordered.size()) {
-      const std::size_t count = std::min(ordered.size() - next, wave_limit);
-      specs.clear();
-      specs.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const timing::Resize& c = ordered[next + i];
-        if (nl.gate(c.gate).size_index == c.size) continue;  // earlier commit moved it here
-        specs[i] = confirm->propose(c.gate, c.size);
-      }
-      if (parallel_confirm) {
-        // Chunk 1: trials are coarse (a fanout-cone re-propagation each).
-        util::parallel_for(count, 1, options.threads,
-                           [&](std::size_t begin, std::size_t end, std::size_t) {
-                             for (std::size_t i = begin; i < end; ++i) {
-                               if (specs[i] != nullptr) (void)specs[i]->score();
-                             }
-                           });
-      }
-      bool committed = false;
-      for (std::size_t i = 0; i < count && !committed; ++i) {
-        if (specs[i] == nullptr) continue;
-        const timing::Summary& s = specs[i]->score();  // cached when prescored
-        const double cost = obj.cost(s.mean_ps, s.sigma_ps);
-        if (cost < accepted_cost - options.min_improvement) {
-          const timing::Resize& c = ordered[next + i];
-          const std::uint16_t from = nl.gate(c.gate).size_index;
-          specs[i]->commit();
-          scorer.base_current = false;  // the snapshot moved under the scorer
-          accepted_cost = cost;
-          ++kept;
-          record(c.gate, from, c.size, source);
-          next += i + 1;
-          committed = true;
-        } else {
-          // A rejected trial's cached score is never reread — free its
-          // O(nodes) overlay now instead of holding every rejected overlay
-          // until the window ends (the serial path's window is unbounded).
-          specs[i].reset();
-        }
-      }
-      if (!committed) next += count;  // whole window rejected: move on
+      const std::span<const timing::Resize> tail = ordered.subspan(next);
+      double hit_cost = 0.0;
+      const std::size_t hit = util::first_accepted(
+          tail.size(), confirm_threads,
+          [&](std::size_t i) {
+            auto& spec = specs[next + i];
+            spec.reset();  // a stale speculation from before the last commit
+            const timing::Resize& c = tail[i];
+            if (nl.gate(c.gate).size_index == c.size) return;  // an earlier commit moved it here
+            spec = confirm->propose(c.gate, c.size);
+            (void)spec->score();
+            scored.fetch_add(1, std::memory_order_relaxed);
+          },
+          [&](std::size_t i) {
+            auto& spec = specs[next + i];
+            if (spec == nullptr) return false;
+            ++stats.confirm_trials;
+            const timing::Summary& s = spec->score();  // cached
+            hit_cost = obj.cost(s.mean_ps, s.sigma_ps);
+            if (hit_cost < accepted_cost - options.min_improvement) return true;
+            spec.reset();  // rejected: free its overlay now
+            return false;
+          });
+      if (hit == tail.size()) break;  // every remaining candidate rejected
+      const timing::Resize& c = tail[hit];
+      const std::uint16_t from = nl.gate(c.gate).size_index;
+      specs[next + hit]->commit();
+      specs[next + hit].reset();
+      scorer.base_current = false;  // the snapshot moved under the scorer
+      accepted_cost = hit_cost;
+      ++kept;
+      record(c.gate, from, c.size, source);
+      next += hit + 1;
     }
+    stats.confirm_scored += scored.load(std::memory_order_relaxed);
     return kept;
   };
 
@@ -392,8 +379,9 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     // every (gate, size) candidate in parallel — the same kernel as the plan
     // stage — to order the trials by predicted gain; the accurate engine then
     // confirms the candidates in that fixed order through speculative
-    // what-ifs (each wave scores in parallel, commits apply serially, and a
-    // trial's basis always includes exactly the moves confirmed before it).
+    // what-ifs (ordered scans score ahead in parallel, commits apply serially,
+    // and a trial's basis always includes exactly the moves confirmed before
+    // it).
     // The prescore only orders, never filters: engine disagreement is
     // exactly what this rescue exists for.
     const auto exact_sweep = [&](std::span<const GateId> gates, MoveSource source) {

@@ -29,12 +29,15 @@
 // The accurate confirmations (batch acceptance, the singles retry, the
 // rescue sweeps) run through the timing::Analyzer what-if API: each trial is
 // a Speculation scored against the committed base without touching the
-// netlist or the snapshot. When the confirm engine supports concurrent
-// speculations (FULLSSTA's incremental fanout-cone overlay does), a whole
-// wave of pending trials is scored in parallel and commits are applied
-// serially in the fixed gain order — the decisions, and therefore every
-// result, are bitwise-identical to the serial trial loop for any thread
-// count.
+// netlist or the snapshot. The singles retry and the rescue sweeps walk their
+// candidates as ordered speculative scans (util::first_accepted): trials up
+// to 2 x threads ahead of the walk score in parallel when the confirm engine
+// supports concurrent speculations, decisions and commits happen on the
+// calling thread in the fixed gain order, and the scan after a commit starts
+// at the next candidate against the new base. The decisions, and therefore
+// every result, are bitwise-identical to the serial trial loop for any thread
+// count; an exception surfaces as the serial loop would raise it (the lowest
+// trial it reaches).
 #pragma once
 
 #include <cstddef>
@@ -67,7 +70,9 @@ struct StatisticalSizerOptions {
   InnerScoring scoring = InnerScoring::kGlobalFassta;
   unsigned subcircuit_levels = 2;          ///< TFI/TFO depth (paper: 2)
   /// Worker threads for the inner-loop candidate scoring (and the rescue
-  /// paths' fast-engine prescoring). 1 = serial on the calling thread; 0 =
+  /// paths' fast-engine prescoring) and the width of the exact confirmation
+  /// scans (confirm engines with concurrent speculations only). 1 = serial
+  /// on the calling thread; 0 =
   /// hardware concurrency. Results — trajectory, stats, final sizes — are
   /// bitwise-identical for any value.
   std::size_t threads = 1;
@@ -167,6 +172,14 @@ struct StatisticalSizerStats {
   std::size_t global_sweeps = 0;
   /// Population-bump rounds attempted (bounded by max_uniform_bumps).
   std::size_t uniform_bump_rounds = 0;
+  /// Exact single-resize confirmations decided (the singles retry and the
+  /// rescue sweeps): the trials the serial loop scores.
+  std::size_t confirm_trials = 0;
+  /// Exact single-resize confirmations scored. Equals confirm_trials at
+  /// width 1; wider runs also score trials past an acceptance that the
+  /// commit then discards (at most 2 x threads per commit), so this one
+  /// varies with scheduling. Observability only: no decision reads it.
+  std::size_t confirm_scored = 0;
   /// Every confirmed resize in commit order (only if record_trajectory).
   std::vector<ResizeEvent> trajectory;
   CircuitStats initial;

@@ -36,7 +36,7 @@ namespace statsizer::timing::detail {
 /// resize set's fanout cone. Dense (GateId / arc-slot indexed) so the arrays
 /// drop straight into TimingContext::apply_snapshot_patch(); each live
 /// speculation holds O(nodes + arcs) overlay memory, so callers scoring many
-/// speculations concurrently should window their waves.
+/// speculations concurrently should bound how many they hold at once.
 struct ConeSnapshot {
   /// Candidate cell per gate (nullptr = keep the bound cell).
   std::vector<const liberty::Cell*> cand;
@@ -66,8 +66,8 @@ struct ConeSnapshot {
   /// Recomputes the cone for @p resizes against @p ctx's current snapshot:
   /// the dirty closure, the shared load fold, then TimingContext::relax over
   /// schedule() @p threads wide (bitwise-identical for any value). Callers
-  /// already running inside a pool worker — a wave of speculations scoring
-  /// concurrently — execute inline regardless.
+  /// already running inside a pool worker — speculations scoring
+  /// concurrently, or an ordered scan's caller — execute inline regardless.
   void propagate(const sta::TimingContext& ctx, std::span<const Resize> resizes,
                  std::size_t threads);
 };

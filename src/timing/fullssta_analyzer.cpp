@@ -14,9 +14,9 @@
 // Overlay storage is dense (GateId-indexed vectors, cleared per score):
 // the O(nodes) clears are memset-class and dwarfed by the cone's pdf
 // convolutions, but each live speculation holds O(nodes + arcs) overlay
-// memory — callers that score many speculations concurrently should window
-// their waves (opt::size_statistically caps waves at a few times the worker
-// count).
+// memory — callers that score many speculations concurrently should bound
+// how many they hold (util::first_accepted, which the sizer and area
+// recovery scan with, keeps at most 2 x threads + 1 live).
 #include <utility>
 
 #include "timing/cone.h"

@@ -20,6 +20,12 @@ ThreadPool& ThreadPool::shared() {
 
 bool ThreadPool::in_worker() { return tls_in_pool_worker; }
 
+ThreadPool::InlineScope::InlineScope() : previous_(tls_in_pool_worker) {
+  tls_in_pool_worker = true;
+}
+
+ThreadPool::InlineScope::~InlineScope() { tls_in_pool_worker = previous_; }
+
 ThreadPool::ThreadPool(std::size_t thread_count) {
   if (thread_count == 0) thread_count = default_thread_count();
   workers_.reserve(thread_count);

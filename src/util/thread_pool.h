@@ -12,16 +12,25 @@
 //
 // Exceptions thrown by a chunk body are captured and rethrown on the calling
 // thread after all workers have drained (first one wins).
+//
+// first_accepted is the ordered counterpart for greedy accept loops (the
+// sizer's exact confirmations, area recovery's screen): it looks ahead a
+// bounded distance, scoring trials on pool helpers, while the caller decides
+// them strictly in order, so the answer and every exception match the serial
+// walk for any thread count.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace statsizer::util {
@@ -63,6 +72,22 @@ class ThreadPool {
   /// helper tasks could otherwise deadlock the pool). Thread-safe.
   [[nodiscard]] static bool in_worker();
 
+  /// While alive, in_worker() reports true on the constructing thread, so
+  /// parallel regions it starts run inline. first_accepted holds one on its
+  /// caller: its helpers may sleep until the caller's walk advances, and a
+  /// nested region queued behind them would wait for a worker that never
+  /// frees up.
+  class InlineScope {
+   public:
+    InlineScope();
+    ~InlineScope();
+    InlineScope(const InlineScope&) = delete;
+    InlineScope& operator=(const InlineScope&) = delete;
+
+   private:
+    bool previous_;
+  };
+
  private:
   void worker_loop();
 
@@ -81,6 +106,30 @@ namespace detail {
 /// pure function of (total, chunk_size).
 [[nodiscard]] inline std::size_t chunk_count(std::size_t total, std::size_t chunk_size) {
   return chunk_size == 0 ? 0 : (total + chunk_size - 1) / chunk_size;
+}
+
+/// Runs help() on @p helpers shared-pool tasks and caller() on the calling
+/// thread, and returns only once every helper has finished, so both may
+/// capture caller-stack state by reference. caller() must not throw, and by
+/// the time it returns it must have made help() return (exhausted or closed
+/// the work they share).
+template <typename Help, typename Caller>
+void fork_join(std::size_t helpers, const Help& help, Caller&& caller) {
+  std::mutex mutex;
+  std::condition_variable helpers_done;
+  std::size_t helpers_finished = 0;
+  ThreadPool& pool = ThreadPool::shared();
+  for (std::size_t i = 0; i < helpers; ++i) {
+    pool.submit([&] {
+      help();
+      const std::lock_guard<std::mutex> lock(mutex);
+      ++helpers_finished;
+      helpers_done.notify_all();
+    });
+  }
+  caller();
+  std::unique_lock<std::mutex> lock(mutex);
+  helpers_done.wait(lock, [&] { return helpers_finished == helpers; });
 }
 
 }  // namespace detail
@@ -121,11 +170,9 @@ void parallel_for(std::size_t total, std::size_t chunk_size, std::size_t threads
   std::atomic<std::size_t> cursor{0};
   std::atomic<bool> failed{false};
   std::exception_ptr error;
-  std::mutex mutex;
-  std::condition_variable helpers_done;
-  std::size_t helpers_finished = 0;
+  std::mutex error_mutex;
 
-  auto drain = [&] {
+  const auto drain = [&] {
     while (!failed.load(std::memory_order_relaxed)) {
       const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
       if (c >= chunks) break;
@@ -134,27 +181,139 @@ void parallel_for(std::size_t total, std::size_t chunk_size, std::size_t threads
       try {
         body(begin, end, c);
       } catch (...) {
-        const std::lock_guard<std::mutex> lock(mutex);
+        const std::lock_guard<std::mutex> lock(error_mutex);
         if (!error) error = std::current_exception();
         failed.store(true, std::memory_order_relaxed);
       }
     }
   };
-
-  const std::size_t helpers = std::min(threads, chunks) - 1;  // caller drains too
-  ThreadPool& pool = ThreadPool::shared();
-  for (std::size_t i = 0; i < helpers; ++i) {
-    pool.submit([&mutex, &helpers_done, &helpers_finished, drain] {
-      drain();
-      const std::lock_guard<std::mutex> lock(mutex);
-      ++helpers_finished;
-      helpers_done.notify_all();
-    });
-  }
-  drain();
-  std::unique_lock<std::mutex> lock(mutex);
-  helpers_done.wait(lock, [&] { return helpers_finished == helpers; });
+  detail::fork_join(std::min(threads, chunks) - 1, drain, drain);  // caller drains too
   if (error) std::rethrow_exception(error);
+}
+
+/// The first index in [0, count) that @p decide accepts, or count if none
+/// is: the serial walk `score(0), decide(0), score(1), decide(1), ...`,
+/// stopped at the first `decide(i) == true`, with the scoring run ahead.
+///
+/// score(i) runs at most once per index, on the caller or on one of up to
+/// threads - 1 helper tasks on the shared pool. Indices are claimed in
+/// increasing order from an atomic cursor, never more than 2 * threads past
+/// the walk position (the index decide() looks at next), so a scan that
+/// accepts index r has scored nothing beyond r + 2 * threads. The caller
+/// decides and, whenever its next index is not scored yet, scores the next
+/// claimable one itself. decide(i) runs on the caller, in index order, after
+/// score(i) has finished. With threads <= 1, count <= 1, or a call from a
+/// pool worker, the scan is exactly the lazy serial walk. threads == 0 means
+/// ThreadPool::default_thread_count().
+///
+/// Exceptions: the one the serial walk would hit first is rethrown — score's
+/// or decide's for the lowest index the walk reaches — and only after every
+/// helper has joined. A score exception for an index the walk never reaches
+/// (an earlier index was accepted) is discarded.
+///
+/// Thread-safety contract for score: the same as a parallel_for body (shared
+/// inputs read-only for the whole scan, results written per index). decide
+/// runs on the caller only and may touch caller state freely; anything
+/// score(j) read for j > i must not change until the scan returns. The caller
+/// counts as a pool worker for the duration (ThreadPool::InlineScope), so
+/// parallel regions started inside score or decide run inline.
+template <typename Score, typename Decide>
+std::size_t first_accepted(std::size_t count, std::size_t threads, Score&& score,
+                           Decide&& decide) {
+  if (threads == 0) threads = ThreadPool::default_thread_count();
+  if (threads <= 1 || count <= 1 || ThreadPool::in_worker()) {
+    for (std::size_t i = 0; i < count; ++i) {
+      score(i);
+      if (decide(i)) return i;
+    }
+    return count;
+  }
+
+  // Index i is claimable once i <= walk + lookahead, and the caller has
+  // consumed slot i % (lookahead + 1) — index i - lookahead - 1 < walk — by
+  // then, so a ring of lookahead + 1 slots never holds two live indices.
+  const std::size_t lookahead = 2 * threads;
+  struct Slot {
+    std::atomic<std::size_t> finished{0};  ///< 1 + the last index scored here
+    std::exception_ptr error;              ///< that index's score() exception
+  };
+  const std::size_t ring_size = lookahead + 1;
+  const std::unique_ptr<Slot[]> ring(new Slot[ring_size]);
+  std::atomic<std::size_t> cursor{0};  // next unclaimed index
+  std::atomic<std::size_t> walk{0};    // next index to decide
+
+  // Claims the next index against walk position @p w (a stale w only makes
+  // the bound tighter: the walk never moves back).
+  const auto claim = [&](std::size_t w, std::size_t& i) {
+    i = cursor.load(std::memory_order_relaxed);
+    while (i < count && i <= w + lookahead) {
+      if (cursor.compare_exchange_weak(i, i + 1, std::memory_order_relaxed)) return true;
+    }
+    return false;
+  };
+  const auto run = [&](std::size_t i) {
+    Slot& slot = ring[i % ring_size];
+    try {
+      score(i);
+    } catch (...) {
+      slot.error = std::current_exception();
+    }
+    slot.finished.store(i + 1, std::memory_order_release);
+    slot.finished.notify_one();
+  };
+  const auto help = [&] {
+    for (;;) {
+      const std::size_t w = walk.load(std::memory_order_acquire);
+      std::size_t i = 0;
+      if (claim(w, i)) {
+        run(i);
+        continue;
+      }
+      if (cursor.load(std::memory_order_relaxed) >= count) return;  // drained or stopped
+      walk.wait(w, std::memory_order_acquire);  // lookahead full: sleep until the walk moves
+    }
+  };
+
+  std::size_t accepted = count;
+  std::exception_ptr error;
+  detail::fork_join(std::min(threads, count) - 1, help, [&] {
+    const ThreadPool::InlineScope inline_scope;
+    for (std::size_t w = 0; w < count; ++w) {
+      Slot& slot = ring[w % ring_size];
+      for (;;) {
+        const std::size_t finished = slot.finished.load(std::memory_order_acquire);
+        if (finished == w + 1) break;
+        std::size_t i = 0;
+        if (claim(w, i)) {
+          run(i);  // the next item is in flight elsewhere: score ahead meanwhile
+          continue;
+        }
+        slot.finished.wait(finished, std::memory_order_acquire);
+      }
+      if (slot.error) {
+        error = std::exchange(slot.error, nullptr);
+        break;
+      }
+      try {
+        if (decide(w)) {
+          accepted = w;
+          break;
+        }
+      } catch (...) {
+        error = std::current_exception();
+        break;
+      }
+      walk.store(w + 1, std::memory_order_release);
+      walk.notify_all();
+    }
+    // Stop claims (a helper that sees this walk sees the cursor at count
+    // too) and wake the sleeping helpers so the join can finish.
+    cursor.store(count, std::memory_order_relaxed);
+    walk.store(count, std::memory_order_release);
+    walk.notify_all();
+  });
+  if (error) std::rethrow_exception(error);
+  return accepted;
 }
 
 }  // namespace statsizer::util

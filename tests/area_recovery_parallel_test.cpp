@@ -292,6 +292,21 @@ TEST_P(AreaRecoveryParallel, MatchesPrePortSerialLoop) {
   }
 }
 
+// Waste counters: at width 1 every scored screen trial is decided; wider
+// runs may score past an acceptance, at most 2 x threads trials per commit.
+TEST_P(AreaRecoveryParallel, ScreenWasteIsBoundedPerCommit) {
+  const RunResult serial = run_once(circuit(), options(), 1, headroom());
+  EXPECT_EQ(serial.stats.screen_scored, serial.stats.screen_trials);
+  // Every commit is a counted downsize unless a chunk rollback retracted it.
+  ASSERT_EQ(serial.stats.chunk_rollbacks, 0u) << "commits are not countable from stats";
+  constexpr std::size_t kThreads = 4;
+  const RunResult wide = run_once(circuit(), options(), kThreads, headroom());
+  EXPECT_EQ(wide.stats.screen_trials, serial.stats.screen_trials);
+  EXPECT_GE(wide.stats.screen_scored, wide.stats.screen_trials);
+  EXPECT_LE(wide.stats.screen_scored - wide.stats.screen_trials,
+            wide.stats.downsizes * 2 * kThreads);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Circuits, AreaRecoveryParallel,
     ::testing::Values(std::pair(0, RecoveryCriterion::kDeterministicArrival),

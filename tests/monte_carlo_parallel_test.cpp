@@ -5,7 +5,10 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -217,6 +220,187 @@ TEST(ParallelFor, PropagatesExceptionsFromWorkerThreads) {
     EXPECT_STREQ(e.what(), "boom on worker");
   }
   EXPECT_TRUE(worker_threw.load());
+}
+
+// util::first_accepted: an ordered speculative scan. The fixture scores with
+// a little busy work so helpers genuinely overlap the caller's walk.
+struct ScanProbe {
+  explicit ScanProbe(std::size_t n) : scored(n), finished(n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      scored[i].store(0);
+      finished[i].store(false);
+    }
+  }
+
+  void score(std::size_t i) {
+    running.fetch_add(1);
+    scored[i].fetch_add(1);
+    busy(std::chrono::microseconds(50));
+    finished[i].store(true);
+    running.fetch_sub(1);
+  }
+
+  static void busy(std::chrono::microseconds d) {
+    const auto until = std::chrono::steady_clock::now() + d;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+
+  std::vector<std::atomic<int>> scored;
+  std::vector<std::atomic<bool>> finished;
+  std::atomic<int> running{0};
+};
+
+TEST(FirstAccepted, ReturnsFirstAcceptedIndexWithBoundedLookahead) {
+  constexpr std::size_t kCount = 40;
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    for (const std::size_t accept : {kCount, std::size_t{0}, kCount / 2, kCount - 1}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " accept=" + std::to_string(accept));
+      ScanProbe probe(kCount);
+      std::size_t next_decide = 0;
+      bool decide_ok = true;
+      const std::size_t result = util::first_accepted(
+          kCount, threads, [&](std::size_t i) { probe.score(i); },
+          [&](std::size_t i) {
+            // On the caller, in index order, after score(i) has finished.
+            decide_ok = decide_ok && std::this_thread::get_id() == caller &&
+                        i == next_decide && probe.finished[i].load();
+            ++next_decide;
+            // A slow decide lets the helpers run into the lookahead bound.
+            ScanProbe::busy(std::chrono::microseconds(100));
+            return i >= accept;  // every later index would accept too
+          });
+      EXPECT_EQ(result, accept);
+      EXPECT_TRUE(decide_ok);
+      EXPECT_EQ(next_decide, std::min(accept + 1, kCount));
+      EXPECT_EQ(probe.running.load(), 0);
+      for (std::size_t i = 0; i < kCount; ++i) {
+        const int n = probe.scored[i].load();
+        EXPECT_LE(n, 1) << "score(" << i << ") ran twice";
+        if (i <= result) EXPECT_EQ(n, 1) << "the walk decided " << i << " unscored";
+        if (result < kCount && i > result + 2 * threads) {
+          EXPECT_EQ(n, 0) << "score(" << i << ") ran past the lookahead";
+        }
+      }
+    }
+  }
+}
+
+TEST(FirstAccepted, SerialWidthIsTheLazyWalk) {
+  std::vector<std::string> events;
+  const std::size_t result = util::first_accepted(
+      5, 1, [&](std::size_t i) { events.push_back("s" + std::to_string(i)); },
+      [&](std::size_t i) {
+        events.push_back("d" + std::to_string(i));
+        return i == 2;
+      });
+  EXPECT_EQ(result, 2u);
+  EXPECT_EQ(events, (std::vector<std::string>{"s0", "d0", "s1", "d1", "s2", "d2"}));
+}
+
+TEST(FirstAccepted, ScoreExceptionSurfacesAsTheSerialWalks) {
+  constexpr std::size_t kCount = 32;
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{5}, kCount - 1}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " k=" + std::to_string(k));
+      ScanProbe probe(kCount);
+      // Every index from k on throws: the serial walk meets k first, so k's
+      // exception must surface whichever helper threw first.
+      const auto score = [&](std::size_t i) {
+        probe.score(i);
+        if (i >= k) throw std::runtime_error("score " + std::to_string(i));
+      };
+      try {
+        (void)util::first_accepted(kCount, threads, score, [](std::size_t) { return false; });
+        FAIL() << "first_accepted swallowed the score exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), "score " + std::to_string(k));
+      }
+      EXPECT_EQ(probe.running.load(), 0) << "a helper outlived the scan";
+
+      // An acceptance before k means the walk never reaches the throw.
+      if (k > 0) {
+        ScanProbe quiet(kCount);
+        const std::size_t result = util::first_accepted(
+            kCount, threads,
+            [&](std::size_t i) {
+              quiet.score(i);
+              if (i >= k) throw std::runtime_error("unreached");
+            },
+            [&](std::size_t i) { return i == k - 1; });
+        EXPECT_EQ(result, k - 1);
+        EXPECT_EQ(quiet.running.load(), 0);
+      }
+    }
+  }
+}
+
+TEST(FirstAccepted, DecideExceptionSurfacesAfterHelpersJoin) {
+  for (const std::size_t threads : {1u, 4u}) {
+    ScanProbe probe(24);
+    try {
+      (void)util::first_accepted(
+          24, threads, [&](std::size_t i) { probe.score(i); },
+          [](std::size_t i) -> bool {
+            if (i == 7) throw std::logic_error("decide 7");
+            return false;
+          });
+      FAIL() << "first_accepted swallowed the decide exception";
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "decide 7");
+    }
+    EXPECT_EQ(probe.running.load(), 0);
+  }
+}
+
+// The caller counts as a pool worker while it scans: its helpers sleep
+// until the walk advances, so a region nested in score or decide must run
+// inline rather than queue behind them (threads 8 > a 4-worker pool would
+// otherwise leave it waiting for a free worker).
+TEST(FirstAccepted, NestedRegionsInsideTheScanRunInline) {
+  std::atomic<int> outside_worker{0};
+  std::atomic<int> covered{0};
+  const auto nested = [&] {
+    if (!util::ThreadPool::in_worker()) outside_worker.fetch_add(1);
+    util::parallel_for(16, 4, 4, [&](std::size_t begin, std::size_t end, std::size_t) {
+      covered.fetch_add(int(end - begin));
+    });
+  };
+  const std::size_t result = util::first_accepted(
+      32, 8, [&](std::size_t) { nested(); },
+      [&](std::size_t i) {
+        nested();
+        return i == 20;
+      });
+  EXPECT_EQ(result, 20u);
+  EXPECT_EQ(outside_worker.load(), 0);
+  EXPECT_GE(covered.load(), 2 * 21 * 16);
+  EXPECT_FALSE(util::ThreadPool::in_worker()) << "the caller's scope outlived the scan";
+}
+
+TEST(FirstAccepted, CallFromPoolWorkerRunsInline) {
+  util::ThreadPool pool(1);
+  std::vector<std::string> events;
+  std::size_t result = 0;
+  bool same_thread = true;
+  pool.submit([&] {
+    const std::thread::id worker = std::this_thread::get_id();
+    result = util::first_accepted(
+        6, 4,
+        [&](std::size_t i) {
+          same_thread = same_thread && std::this_thread::get_id() == worker;
+          events.push_back("s" + std::to_string(i));
+        },
+        [&](std::size_t i) {
+          events.push_back("d" + std::to_string(i));
+          return i == 1;
+        });
+  });
+  pool.wait_idle();
+  EXPECT_EQ(result, 1u);
+  EXPECT_TRUE(same_thread);
+  EXPECT_EQ(events, (std::vector<std::string>{"s0", "d0", "s1", "d1"}));
 }
 
 TEST(ThreadPool, RunsSubmittedTasks) {

@@ -139,6 +139,36 @@ TEST(SizerParallel, SubcircuitScoringModeIdenticalAcrossThreadCounts) {
   }
 }
 
+// Waste counters: at width 1 every scored exact confirmation is decided;
+// wider runs may score past an acceptance, at most 2 x threads trials per
+// commit of the ordered scans (the singles retry and the rescue sweeps).
+TEST(SizerParallel, ConfirmWasteIsBoundedPerCommit) {
+  const auto scan_commits = [](const StatisticalSizerStats& stats) {
+    std::size_t n = 0;
+    for (const ResizeEvent& e : stats.trajectory) {
+      n += e.source == MoveSource::kSingle || e.source == MoveSource::kExactFallback ||
+           e.source == MoveSource::kGlobalSweep;
+    }
+    return n;
+  };
+  constexpr std::size_t kThreads = 4;
+  for (const bool fabric : {false, true}) {
+    SCOPED_TRACE(fabric ? "parity_fabric" : "cla_adder");
+    const auto circuit = [&] {
+      return fabric ? parity_fabric(16) : circuits::make_cla_adder(8);
+    };
+    const double lambda = fabric ? 9.0 : 3.0;
+    const auto serial = run_once(circuit(), lambda, 1);
+    EXPECT_GT(serial.stats.confirm_trials, 0u);
+    EXPECT_EQ(serial.stats.confirm_scored, serial.stats.confirm_trials);
+    const auto wide = run_once(circuit(), lambda, kThreads);
+    EXPECT_EQ(wide.stats.confirm_trials, serial.stats.confirm_trials);
+    EXPECT_GE(wide.stats.confirm_scored, wide.stats.confirm_trials);
+    EXPECT_LE(wide.stats.confirm_scored - wide.stats.confirm_trials,
+              scan_commits(wide.stats) * 2 * kThreads);
+  }
+}
+
 TEST(SizerParallel, TrajectoryOffByDefault) {
   Bench b(circuits::make_ripple_adder(4));
   (void)apply_initial_sizing(*b.ctx);
