@@ -1,5 +1,5 @@
 // Side-by-side of the statistical timing engines on one workload — every
-// engine selected by registry name through the unified timing::Analyzer
+// engine selected by name through the unified timing::Analyzer
 // interface (timing::make_analyzer), no per-engine plumbing:
 //   fullssta   — discrete-pdf propagation (the paper's accurate outer engine)
 //   fassta     — Clark-moment propagation  (the paper's fast inner engine)

@@ -3,7 +3,7 @@
 // "Decreasing variance can increase the overall yield of a design": for a
 // clock period T, timing yield is P(delay <= T). This example measures that
 // probability for a Table-1 workload before and after statistical sizing,
-// with the analysis engine selected by registry name through the
+// with the analysis engine selected by name through the
 // timing::Analyzer interface. Engines that publish the full delay pdf
 // (fullssta) yield exact CDF reads; moment-only engines (fassta, canonical)
 // fall back to the normal approximation. Monte Carlo cross-checks one

@@ -49,8 +49,9 @@
 #   scripts/check.sh --serve-smoke   # additionally drive statsizer_serve
 #                                    # over a scripted newline-JSON session
 #                                    # (load/whatif/yield, malformed input,
-#                                    # unknown op, expired deadline — each
-#                                    # must answer with its structured code)
+#                                    # unknown op, expired deadline,
+#                                    # overflowing deadline — each must
+#                                    # answer with its structured code)
 #                                    # and bench_table1 --inject (a poisoned
 #                                    # shard must fail its row, exit 1)
 #
@@ -318,12 +319,20 @@ if [[ "${SERVE}" == 1 ]]; then
 this line is not json
 {"id":4,"op":"frobnicate"}
 {"id":5,"op":"yield","deadline_ms":1}
-{"id":6,"op":"status"}
-{"id":7,"op":"quit"}
+{"id":6,"op":"yield","deadline_ms":9223372036854}
+{"id":7,"op":"status"}
+{"id":8,"op":"quit"}
 EOF
 )"
-  if [[ "$(wc -l <<< "${SERVE_OUT}")" -ne 7 ]]; then
-    echo "check.sh: serve smoke FAILED: expected 7 response lines" >&2
+  if [[ "$(wc -l <<< "${SERVE_OUT}")" -ne 8 ]]; then
+    echo "check.sh: serve smoke FAILED: expected 8 response lines" >&2
+    echo "${SERVE_OUT}" >&2
+    exit 1
+  fi
+  # A deadline past the steady clock's range is refused up front, not left
+  # to overflow into an instant expiry.
+  if ! sed -n 6p <<< "${SERVE_OUT}" | grep -qF '"code":"invalid_argument"'; then
+    echo "check.sh: serve smoke FAILED: overflowing deadline_ms not rejected" >&2
     echo "${SERVE_OUT}" >&2
     exit 1
   fi

@@ -192,8 +192,6 @@ opt::DeterministicSizerStats Flow::run_baseline() {
   opt::StatisticalSizerOptions polish;
   polish.objective.lambda = 0.0;
   polish.threads = options_.sizer_threads;
-  polish.confirm_engine = options_.confirm_engine;
-  polish.score_engine = options_.score_engine;
   // Bounded effort on large circuits: the polish exists to put the baseline
   // at its E[max] optimum, and diminishing returns set in well before the
   // default cap on multi-thousand-gate netlists.
@@ -205,14 +203,11 @@ opt::DeterministicSizerStats Flow::run_baseline() {
   // optimized first then area is recovered as far as possible without
   // violating a delay constraint"). This is what leaves off-critical gates
   // small — and why the mean-optimized circuit has the widest spread.
-  // screen_engine stays on the criterion-based default (dsta for the
-  // deterministic arrival guard, fassta for the statistical one).
   opt::AreaRecoveryOptions recovery;
   recovery.criterion = options_.recovery_criterion;
   recovery.tolerance = options_.recovery_tolerance;
   recovery.objective.lambda = 0.0;
   recovery.threads = options_.sizer_threads;
-  recovery.confirm_engine = options_.confirm_engine;
   recovery.fullssta = options_.fullssta;
   (void)opt::recover_area(*context_, recovery);
 
@@ -238,8 +233,6 @@ OptimizationRecord Flow::optimize(double lambda,
     // explicit overrides struct carries its own engine configuration
     // (including fullssta options) untouched.
     sizer.threads = options_.sizer_threads;
-    sizer.confirm_engine = options_.confirm_engine;
-    sizer.score_engine = options_.score_engine;
     sizer.fullssta = options_.fullssta;
   }
   sizer.objective.lambda = lambda;
@@ -250,21 +243,19 @@ OptimizationRecord Flow::optimize(double lambda,
   // Constrained-mode cleanup: the optimizer's coordinated moves (population
   // bumps) oversize gates whose contribution to the achieved objective is
   // marginal; recover that area without giving the objective back. Recovery
-  // guards and measures with the sizer's engines and FullSstaOptions, so its
-  // exact budgets agree with the record reported below.
+  // guards and measures with the sizer's FullSstaOptions, so its exact
+  // budgets agree with the record reported below.
   opt::AreaRecoveryOptions recovery;
   recovery.criterion = opt::RecoveryCriterion::kStatisticalCost;
   recovery.objective = sizer.objective;
   recovery.tolerance = 0.002;
   recovery.threads = sizer.threads;
-  recovery.screen_engine = sizer.score_engine;
-  recovery.confirm_engine = sizer.confirm_engine;
   recovery.fullssta = sizer.fullssta;
   recovery.fassta = sizer.fassta;
   opt::AreaRecoveryStats recovered = opt::recover_area(*context_, recovery);
-  // Statistical-criterion recovery always returns its confirm engine's exact
-  // summary of the committed final state (bitwise what a fresh run_fullssta
-  // would report), so the old post-recovery refresh is gone.
+  // Statistical-criterion recovery always returns FULLSSTA's exact summary of
+  // the committed final state (bitwise what a fresh run_fullssta would
+  // report), so the old post-recovery refresh is gone.
   stats.final_.mean_ps = recovered.final_summary.mean_ps;
   stats.final_.sigma_ps = recovered.final_summary.sigma_ps;
   stats.final_.area_um2 = context_->area_um2();

@@ -66,15 +66,6 @@ struct FlowOptions {
   /// stage). 1 = serial, 0 = hardware concurrency; results are identical for
   /// any value.
   std::size_t sizer_threads = 1;
-  /// Engine selection for the statistical sizer and area recovery
-  /// (timing::make_analyzer registry names), applied — like sizer_threads —
-  /// to run_baseline's stages and to optimize() without overrides.
-  /// confirm_engine is the accurate acceptance/verification engine (the
-  /// sizer needs what-if + per-node moments; recovery needs what-if);
-  /// score_engine is the fast inner-loop scorer ("fassta" = the specialized
-  /// kernel) and doubles as optimize()'s recovery screen.
-  std::string confirm_engine = "fullssta";
-  std::string score_engine = "fassta";
   /// Design-rule analysis thresholds (loading and preflight()).
   drc::DrcOptions drc;
   /// When set (the default), run_baseline() and optimize() refuse — with a
@@ -95,9 +86,8 @@ struct OptimizationRecord {
   std::size_t iterations = 0;
   std::size_t resizes = 0;
   double runtime_seconds = 0.0;
-  /// Output-delay pdf after optimization (Fig. 1 material). Empty when the
-  /// configured confirm engine cannot produce a pdf (non-default engines
-  /// without the output_pdf capability).
+  /// Output-delay pdf after optimization (Fig. 1 material): FULLSSTA's pdf
+  /// of the final state.
   pdf::DiscretePdf output_pdf;
 };
 
@@ -214,8 +204,8 @@ class Flow {
   [[nodiscard]] opt::CircuitStats analyze() const;
   /// Full FULLSSTA result (pdfs, per-node moments).
   [[nodiscard]] ssta::FullSstaResult full_analysis() const;
-  /// A timing::Analyzer from the registry, configured with this flow's
-  /// engine options (not yet bound: call ->analyze(flow.timing())). Throws
+  /// A built-in timing::Analyzer, configured with this flow's engine
+  /// options (not yet bound: call ->analyze(flow.timing())). Throws
   /// std::invalid_argument for unknown names.
   [[nodiscard]] std::unique_ptr<timing::Analyzer> make_analyzer(
       std::string_view name = "fullssta") const;

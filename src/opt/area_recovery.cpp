@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -17,11 +16,6 @@ namespace {
 /// Accepted downsizes in statistical mode accumulate between exact
 /// verifications; every kChunk the confirm engine re-checks the budgets.
 constexpr std::size_t kChunk = 12;
-
-std::string screen_engine_name(const AreaRecoveryOptions& options, bool statistical) {
-  if (!options.screen_engine.empty()) return options.screen_engine;
-  return statistical ? "fassta" : "dsta";
-}
 
 /// Gates with shrink headroom, largest cells first: most area to win back.
 std::vector<GateId> recovery_order(const sta::TimingContext& ctx) {
@@ -46,12 +40,9 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
   timing::AnalyzerOptions engine_options;
   engine_options.fullssta = options.fullssta;
   engine_options.fassta = options.fassta;
-  const auto screen = timing::make_analyzer(screen_engine_name(options, statistical),
-                                            engine_options);
-  if (!screen->capabilities().what_if) {
-    throw std::invalid_argument("recover_area: screen engine \"" +
-                                std::string(screen->name()) + "\" lacks what-if speculation");
-  }
+  // The screen is the fast engine of the guarded metric: DSTA for the
+  // deterministic arrival, FASSTA for the statistical cost.
+  const auto screen = timing::make_analyzer(statistical ? "fassta" : "dsta", engine_options);
 
   AreaRecoveryStats stats;
   ctx.update();
@@ -60,8 +51,8 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
   // Per-trial screening metric: deterministic arrival, or the *fast* engine's
   // statistical cost with a sigma cap. The fast screen drifts from the
   // accurate engine on reconvergent fabrics, so in statistical mode every
-  // chunk of accepted downsizes is re-verified against the confirm engine
-  // and rolled back wholesale if the accurate budgets are exceeded.
+  // chunk of accepted downsizes is re-verified against FULLSSTA and rolled
+  // back wholesale if the accurate budgets are exceeded.
   const auto screen_cost = [&](const timing::Summary& s) {
     return statistical ? obj.cost(s.mean_ps, s.sigma_ps) : s.mean_ps;
   };
@@ -76,11 +67,7 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
   double exact_cost_budget = 0.0;
   double exact_sigma_budget = 0.0;
   if (statistical) {
-    confirm = timing::make_analyzer(options.confirm_engine, engine_options);
-    if (!confirm->capabilities().what_if) {
-      throw std::invalid_argument("recover_area: confirm engine \"" +
-                                  options.confirm_engine + "\" lacks what-if speculation");
-    }
+    confirm = timing::make_analyzer("fullssta", engine_options);
     const timing::Summary& full = confirm->analyze(ctx);
     exact_cost_budget = obj.cost(full.mean_ps, full.sigma_ps) * (1.0 + options.tolerance);
     exact_sigma_budget = full.sigma_ps * (1.0 + options.sigma_tolerance);
@@ -143,11 +130,8 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
   };
 
   // Screening runs as ordered speculative scans (util::first_accepted):
-  // trials ahead of the walk score in parallel when the screen engine
-  // supports concurrent speculations, and the walk decides them in order on
-  // this thread. The serial path scores one trial at a time.
-  const std::size_t screen_threads =
-      screen->capabilities().concurrent_speculations ? options.threads : 1;
+  // trials ahead of the walk score in parallel, and the walk decides them in
+  // order on this thread. The serial path scores one trial at a time.
   std::atomic<std::size_t> scored{0};
 
   bool stopped = false;
@@ -177,7 +161,7 @@ AreaRecoveryStats recover_area(sta::TimingContext& ctx, const AreaRecoveryOption
     while (pos < order.size() && !stopped) {
       const std::size_t count = order.size() - pos;
       const std::size_t hit = util::first_accepted(
-          count, screen_threads,
+          count, options.threads,
           [&](std::size_t i) {
             auto& spec = specs[pos + i];
             spec.reset();  // a stale trial from before the last commit

@@ -13,24 +13,22 @@
 //    side paths is itself a statistical asset.
 //
 // Engine plumbing: every trial runs through the timing::Analyzer what-if API.
-// The screen engine (screen_engine; defaults to "dsta" / "fassta" by
-// criterion) scores each candidate downsize as a Speculation against its
-// committed base — a fanout-cone re-propagation against a private overlay,
-// never a netlist mutation plus full TimingContext::update(); accepted
-// trials commit incrementally (the FASSTA/DSTA adapters patch the snapshot
-// in place). In statistical mode the screen drifts from the accurate engine
-// on reconvergent fabrics, so every kChunk accepted downsizes are
-// re-verified by the confirm engine (confirm_engine, default "fullssta",
-// configured with `fullssta` — the same options the caller uses to measure
-// the result, so the guard and the report agree) as one atomic multi-resize
-// speculation from the last checkpoint; a failed verification rolls the
-// whole chunk back and stops.
+// The screen engine — "dsta" for kDeterministicArrival, "fassta" for
+// kStatisticalCost — scores each candidate downsize as a Speculation against
+// its committed base — a fanout-cone re-propagation against a private
+// overlay, never a netlist mutation plus full TimingContext::update();
+// accepted trials commit incrementally (the FASSTA/DSTA adapters patch the
+// snapshot in place). In statistical mode the screen drifts from the
+// accurate engine on reconvergent fabrics, so every kChunk accepted
+// downsizes are re-verified by FULLSSTA (configured with `fullssta` — the
+// same options the caller uses to measure the result, so the guard and the
+// report agree) as one atomic multi-resize speculation from the last
+// checkpoint; a failed verification rolls the whole chunk back and stops.
 //
 // Concurrency (docs/ARCHITECTURE.md, "Concurrency & determinism contracts"):
 // the descending-area walk runs as ordered speculative scans
-// (util::first_accepted). When the screen engine supports concurrent
-// speculations, per-gate downsize trials up to 2 x threads ahead of the walk
-// are scored across util::ThreadPool workers (each speculation holds a
+// (util::first_accepted). Per-gate downsize trials up to 2 x threads ahead of
+// the walk are scored across util::ThreadPool workers (each speculation holds a
 // private overlay), while the walk decides them in order on the calling
 // thread; the first acceptance ends the scan, its commit moves the base, and
 // the next scan starts at the accepting gate. Every trial is therefore judged
@@ -44,7 +42,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "fassta/engine.h"
 #include "opt/objective.h"
@@ -71,22 +68,15 @@ struct AreaRecoveryOptions {
   double sigma_tolerance = 0.01;
   std::size_t max_passes = 4;
   fassta::EngineOptions fassta;
-  /// Options for the exact confirm engine — the *same* FullSstaOptions the
-  /// caller measures the final result with, so the kChunk budgets and the
-  /// reported objective use one statistical model (core::Flow plumbs its
-  /// options_.fullssta here).
+  /// Options for the exact FULLSSTA verification — the *same*
+  /// FullSstaOptions the caller measures the final result with, so the
+  /// kChunk budgets and the reported objective use one statistical model
+  /// (core::Flow plumbs its options_.fullssta here).
   ssta::FullSstaOptions fullssta;
   /// Width of the ordered screening scans: trials up to 2 x threads ahead of
   /// the walk score in parallel. 1 = serial on the calling thread; 0 =
   /// hardware concurrency. Results are bitwise-identical for any value.
   std::size_t threads = 1;
-  /// Screen engine (timing::make_analyzer registry name). Empty = pick by
-  /// criterion: "dsta" for kDeterministicArrival, "fassta" for
-  /// kStatisticalCost — the pre-port behaviour. Must support what-if
-  /// speculation; engines without concurrent_speculations screen serially.
-  std::string screen_engine;
-  /// Exact verification engine for kStatisticalCost (must support what-if).
-  std::string confirm_engine = "fullssta";
 };
 
 struct AreaRecoveryStats {
@@ -108,10 +98,10 @@ struct AreaRecoveryStats {
   std::size_t chunk_rollbacks = 0;
   double area_before_um2 = 0.0;
   double area_after_um2 = 0.0;
-  /// kStatisticalCost only (has_final_summary): the confirm engine's summary
-  /// of the final committed netlist — for the default "fullssta" engine,
-  /// bitwise what ssta::run_fullssta(ctx, options.fullssta) would report, so
-  /// callers need no post-recovery re-analysis.
+  /// kStatisticalCost only (has_final_summary): FULLSSTA's summary of the
+  /// final committed netlist, output pdf included — bitwise what
+  /// ssta::run_fullssta(ctx, options.fullssta) would report, so callers need
+  /// no post-recovery re-analysis.
   bool has_final_summary = false;
   timing::Summary final_summary;
 };

@@ -54,29 +54,16 @@ CandidateJobs list_candidates(const netlist::Netlist& nl, const liberty::Library
   return out;
 }
 
-/// The fast-engine side of the inner loop: either the specialized fassta
-/// kernel (score_engine == "fassta", the default — per-worker Scratch, zero
-/// per-candidate allocation) or any other registry engine speculating
-/// through the timing::Analyzer interface.
-struct InnerScorer {
-  const fassta::Engine* fassta = nullptr;   ///< fast path when non-null
-  timing::Analyzer* analyzer = nullptr;     ///< registry path otherwise
-  /// Registry path only: the analyzer's base matches the current snapshot,
-  /// so score_candidates can skip the from-scratch re-base. The sizer clears
-  /// this whenever a confirmation commits (netlist + snapshot moved).
-  bool base_current = false;
-};
-
 /// The parallel candidate-scoring kernel shared by the plan stage and the
-/// rescue sweeps' prescoring. Fans the fast-engine evaluations across
+/// rescue sweeps' prescoring. Fans the FASSTA evaluations across
 /// options.threads workers: every worker reads the same const TimingContext
-/// snapshot (through the shared Engine or Analyzer) and keeps its mutable
-/// state private (a fassta Scratch, or a Speculation's overlay); slot i of
-/// the result is written exactly once by whichever worker draws it, and the
-/// scores themselves do not depend on evaluation order — so the returned
-/// array is bitwise-identical for any thread count.
-std::vector<double> score_candidates(sta::TimingContext& ctx,
-                                     InnerScorer& scorer,
+/// snapshot (through the shared Engine) and keeps its mutable state private
+/// (a Scratch per chunk); slot i of the result is written exactly once by
+/// whichever worker draws it, and the scores themselves do not depend on
+/// evaluation order — so the returned array is bitwise-identical for any
+/// thread count.
+std::vector<double> score_candidates(const sta::TimingContext& ctx,
+                                     const fassta::Engine& engine,
                                      const StatisticalSizerOptions& options,
                                      InnerScoring scoring,
                                      std::span<const CandidateJob> jobs,
@@ -91,26 +78,6 @@ std::vector<double> score_candidates(sta::TimingContext& ctx,
   // function of the job count, never of the thread count.
   constexpr std::size_t kChunk = 8;
 
-  if (scorer.fassta == nullptr) {
-    timing::Analyzer& analyzer = *scorer.analyzer;
-    if (!scorer.base_current) {
-      (void)analyzer.analyze(ctx);  // re-base against the frozen snapshot
-      scorer.base_current = true;
-    }
-    const std::size_t threads =
-        analyzer.capabilities().concurrent_speculations ? options.threads : 1;
-    util::parallel_for(jobs.size(), kChunk, threads,
-                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           const auto spec = analyzer.propose(jobs[i].gate, jobs[i].size);
-                           const timing::Summary& s = spec->score();
-                           costs[i] = obj.cost(s.mean_ps, s.sigma_ps);
-                         }
-                       });
-    return costs;
-  }
-
-  const fassta::Engine& engine = *scorer.fassta;
   util::parallel_for(
       jobs.size(), kChunk, options.threads,
       [&](std::size_t begin, std::size_t end, std::size_t) {
@@ -156,49 +123,27 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
   const auto& lib = ctx.library();
   const Objective& obj = options.objective;
 
-  // Engine selection through the timing::Analyzer registry. The fassta
-  // score engine keeps the specialized kernel below; everything accurate
-  // goes through the confirm analyzer's transactional what-if API.
+  // The paper's engine pair: FULLSSTA tracks the statistical critical path
+  // and confirms every move through its transactional what-if API; the
+  // FASSTA kernel (score_candidates) scores the candidate sizes.
   timing::AnalyzerOptions engine_options;
   engine_options.fullssta = options.fullssta;
-  engine_options.fassta = options.fassta;
-  const bool fassta_scorer = options.score_engine == "fassta";
-  if (!fassta_scorer && options.scoring == InnerScoring::kSubcircuit) {
-    throw std::invalid_argument(
-        "InnerScoring::kSubcircuit requires score_engine == \"fassta\"");
-  }
   const std::unique_ptr<timing::Analyzer> confirm =
-      timing::make_analyzer(options.confirm_engine, engine_options);
-  if (!confirm->capabilities().what_if || !confirm->capabilities().per_node_moments) {
-    throw std::invalid_argument("confirm engine \"" + options.confirm_engine +
-                                "\" lacks what-if speculation or per-node moments");
-  }
+      timing::make_analyzer("fullssta", engine_options);
   const fassta::Engine engine(ctx, options.fassta);
-  std::unique_ptr<timing::Analyzer> score_analyzer;
-  if (!fassta_scorer) {
-    score_analyzer = timing::make_analyzer(options.score_engine, engine_options);
-  }
-  InnerScorer scorer{fassta_scorer ? &engine : nullptr, score_analyzer.get()};
 
-  // Yield-constraint mode: validated up front so a typo'd engine name or a
-  // missing clock fails loudly instead of surfacing mid-run (or never, when
-  // the loop converges before the first check).
-  if (options.target_yield.has_value()) {
-    if (options.yield_engine != "isle" && options.yield_engine != "mc") {
-      throw std::invalid_argument("unknown yield engine \"" + options.yield_engine +
-                                  "\" (known: isle, mc)");
-    }
-    if (options.isle.clock_period_ps <= 0.0 &&
-        !ctx.constraints().clock_period_ps.has_value()) {
-      throw std::invalid_argument(
-          "target_yield requires a clock period (isle.clock_period_ps or an SDC "
-          "create_clock constraint)");
-    }
+  // Yield-constraint mode: validated up front so a missing clock fails
+  // loudly instead of surfacing mid-run (or never, when the loop converges
+  // before the first check).
+  if (options.target_yield.has_value() && options.isle.clock_period_ps <= 0.0 &&
+      !ctx.constraints().clock_period_ps.has_value()) {
+    throw std::invalid_argument(
+        "target_yield requires a clock period (isle.clock_period_ps or an SDC "
+        "create_clock constraint)");
   }
   const auto estimate_yield = [&]() {
     ssta::IsleOptions isle = options.isle;
     isle.threads = options.threads;
-    if (options.yield_engine == "mc") isle.proposal = ssta::IsleProposal::kNominal;
     return ssta::run_isle(ctx, isle);
   };
 
@@ -219,15 +164,12 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
   // loop — score each candidate against the committed base, commit the
   // first that beats the accepted cost, carry on after it — run as ordered
   // speculative scans (util::first_accepted). A scan scores candidates ahead
-  // of its walk, in parallel when the confirm engine supports concurrent
-  // speculations, and stops at the first acceptance; the commit then moves
-  // the base and the next scan starts at the following candidate. Candidate
-  // i is always judged against the state holding exactly the commits ordered
-  // before it, and scores are pure functions of (base, candidate), so the
-  // decisions — and every downstream result — are bitwise-identical for any
-  // thread count.
-  const std::size_t confirm_threads =
-      confirm->capabilities().concurrent_speculations ? options.threads : 1;
+  // of its walk in parallel and stops at the first acceptance; the commit
+  // then moves the base and the next scan starts at the following candidate.
+  // Candidate i is always judged against the state holding exactly the
+  // commits ordered before it, and scores are pure functions of (base,
+  // candidate), so the decisions — and every downstream result — are
+  // bitwise-identical for any thread count.
   const auto confirm_in_order = [&](std::span<const timing::Resize> ordered,
                                     double& accepted_cost, MoveSource source) {
     std::size_t kept = 0;
@@ -242,7 +184,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
       const std::span<const timing::Resize> tail = ordered.subspan(next);
       double hit_cost = 0.0;
       const std::size_t hit = util::first_accepted(
-          tail.size(), confirm_threads,
+          tail.size(), options.threads,
           [&](std::size_t i) {
             auto& spec = specs[next + i];
             spec.reset();  // a stale speculation from before the last commit
@@ -267,7 +209,6 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
       const std::uint16_t from = nl.gate(c.gate).size_index;
       specs[next + hit]->commit();
       specs[next + hit].reset();
-      scorer.base_current = false;  // the snapshot moved under the scorer
       accepted_cost = hit_cost;
       ++kept;
       record(c.gate, from, c.size, source);
@@ -311,7 +252,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
     const CandidateJobs cand = list_candidates(nl, lib, trace.path);
     stats.fassta_evaluations += cand.jobs.size();
     const std::vector<double> costs = score_candidates(
-        ctx, scorer, options, options.scoring, cand.jobs, full->node, downstream);
+        ctx, engine, options, options.scoring, cand.jobs, full->node, downstream);
 
     std::vector<PlannedResize> plan;
     for (std::size_t gi = 0; gi < trace.path.size(); ++gi) {
@@ -353,7 +294,6 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
           record(r.gate, nl.gate(r.gate).size_index, r.new_size, MoveSource::kPlan);
         }
         batch_spec->commit();
-        scorer.base_current = false;  // the snapshot moved under the scorer
         accepted = plan.size();
         accepted_cost = batch_cost;
       } else {
@@ -388,7 +328,7 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
       const CandidateJobs sweep = list_candidates(nl, lib, gates);
       stats.fassta_evaluations += sweep.jobs.size();
       const std::vector<double> prescores =
-          score_candidates(ctx, scorer, options, InnerScoring::kGlobalFassta, sweep.jobs,
+          score_candidates(ctx, engine, options, InnerScoring::kGlobalFassta, sweep.jobs,
                            full->node, {});
 
       struct RescueCandidate {
@@ -496,7 +436,6 @@ StatisticalSizerStats size_statistically(sta::TimingContext& ctx,
         const double c = obj.cost(s.mean_ps, s.sigma_ps);
         if (c < accepted_cost - options.min_improvement) {
           spec->commit();
-          scorer.base_current = false;  // the snapshot moved under the scorer
           accepted_cost = c;
           return true;
         }

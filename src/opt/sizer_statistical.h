@@ -26,24 +26,24 @@
 // contract as the parallel Monte-Carlo engine; see docs/ARCHITECTURE.md,
 // "Concurrency & determinism contracts").
 //
-// The accurate confirmations (batch acceptance, the singles retry, the
-// rescue sweeps) run through the timing::Analyzer what-if API: each trial is
-// a Speculation scored against the committed base without touching the
+// The engine pair is fixed, as in the paper: FULLSSTA traces the WNSS path
+// and confirms, the fassta::Engine kernel scores candidates. The accurate
+// confirmations (batch acceptance, the singles retry, the rescue sweeps) run
+// through FULLSSTA's timing::Analyzer what-if API: each trial is a
+// Speculation scored against the committed base without touching the
 // netlist or the snapshot. The singles retry and the rescue sweeps walk their
 // candidates as ordered speculative scans (util::first_accepted): trials up
-// to 2 x threads ahead of the walk score in parallel when the confirm engine
-// supports concurrent speculations, decisions and commits happen on the
-// calling thread in the fixed gain order, and the scan after a commit starts
-// at the next candidate against the new base. The decisions, and therefore
-// every result, are bitwise-identical to the serial trial loop for any thread
-// count; an exception surfaces as the serial loop would raise it (the lowest
-// trial it reaches).
+// to 2 x threads ahead of the walk score in parallel, decisions and commits
+// happen on the calling thread in the fixed gain order, and the scan after a
+// commit starts at the next candidate against the new base. The decisions,
+// and therefore every result, are bitwise-identical to the serial trial loop
+// for any thread count; an exception surfaces as the serial loop would raise
+// it (the lowest trial it reaches).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "fassta/engine.h"
@@ -70,10 +70,9 @@ struct StatisticalSizerOptions {
   InnerScoring scoring = InnerScoring::kGlobalFassta;
   unsigned subcircuit_levels = 2;          ///< TFI/TFO depth (paper: 2)
   /// Worker threads for the inner-loop candidate scoring (and the rescue
-  /// paths' fast-engine prescoring) and the width of the exact confirmation
-  /// scans (confirm engines with concurrent speculations only). 1 = serial
-  /// on the calling thread; 0 =
-  /// hardware concurrency. Results — trajectory, stats, final sizes — are
+  /// paths' FASSTA prescoring) and the width of the exact FULLSSTA
+  /// confirmation scans. 1 = serial on the calling thread; 0 = hardware
+  /// concurrency. Results — trajectory, stats, final sizes — are
   /// bitwise-identical for any value.
   std::size_t threads = 1;
   /// Record every confirmed resize in StatisticalSizerStats::trajectory
@@ -89,33 +88,21 @@ struct StatisticalSizerOptions {
   ssta::FullSstaOptions fullssta;          ///< outer-engine controls
   fassta::EngineOptions fassta;            ///< inner-engine controls
   WnssOptions wnss;                        ///< tracer controls
-  /// Accurate confirmation engine, resolved through timing::make_analyzer.
-  /// Must support what-if speculation and per-node moments (WNSS tracing).
-  /// Default: the paper's FULLSSTA, whose incremental what-if lets rescue
-  /// confirmations score in parallel.
-  std::string confirm_engine = "fullssta";
-  /// Fast candidate-scoring engine (registry name). "fassta" uses the
-  /// specialized zero-allocation kernel (and is required for
-  /// InnerScoring::kSubcircuit); any other registered engine scores through
-  /// timing::Analyzer speculations.
-  std::string score_engine = "fassta";
   /// Optional constraint mode: stop as soon as sigma reaches this target.
   std::optional<double> target_sigma_ps;
   /// Optional constraint mode: stop as soon as the estimated timing yield at
   /// the constraint clock reaches this target (e.g. 0.99). Requires a clock
   /// period — either isle.clock_period_ps or the context's SDC constraint —
-  /// and is evaluated with yield_engine at the top of every iteration plus
+  /// and is evaluated with ssta::run_isle at the top of every iteration plus
   /// once on the final state (StatisticalSizerStats::final_yield). A
   /// degenerate estimate (IsleResult::degenerate) never satisfies the
   /// target.
   std::optional<double> target_yield;
-  /// Engine for the target_yield evaluations: "isle" (importance sampling,
-  /// the default — cheap enough to sit inside the sizing loop) or "mc"
-  /// (plain Monte Carlo through the same machinery).
-  std::string yield_engine = "isle";
-  /// Estimator configuration for the target_yield evaluations. Its threads
-  /// field is overridden by `threads` above (results are identical either
-  /// way).
+  /// Estimator configuration for the target_yield evaluations: importance
+  /// sampling by default (cheap enough to sit inside the sizing loop);
+  /// isle.proposal = IsleProposal::kNominal is plain Monte Carlo through the
+  /// same machinery. Its threads field is overridden by `threads` above
+  /// (results are identical either way).
   ssta::IsleOptions isle;
 
   // -- convergence rescue (bounded exact-engine move sources) -----------------
@@ -162,9 +149,7 @@ struct ResizeEvent {
 struct StatisticalSizerStats {
   std::size_t iterations = 0;
   std::size_t resizes = 0;
-  /// Inner-scorer candidate evaluations (plan scoring + rescue prescoring).
-  /// Counted for whichever score_engine ran — the name reflects the default
-  /// fassta kernel.
+  /// FASSTA candidate evaluations (plan scoring + rescue prescoring).
   std::size_t fassta_evaluations = 0;
   /// Resizes confirmed by the exact rescue sweeps (fallback + global).
   std::size_t exact_resizes = 0;

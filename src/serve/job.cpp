@@ -92,7 +92,13 @@ JobRef JobManager::submit(std::function<void()> body, JobOptions options) {
   job->backoff_ = std::max(options.backoff, std::chrono::milliseconds(1));
   job->submitted_at_ = std::chrono::steady_clock::now();
   if (options.deadline.count() > 0) {
-    job->deadline_ = job->submitted_at_ + options.deadline;
+    // A deadline past the clock's range saturates (never expires) instead of
+    // overflowing the time point.
+    using Clock = std::chrono::steady_clock;
+    const auto range = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - job->submitted_at_);
+    job->deadline_ = options.deadline < range ? job->submitted_at_ + options.deadline
+                                              : Clock::time_point::max();
   }
   job->body_ = std::move(body);
 

@@ -1,9 +1,12 @@
 #include "serve/server.h"
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -26,6 +29,19 @@ std::string get_string(const Json& req, std::string_view key, std::string_view f
 double get_number(const Json& req, std::string_view key, double fallback) {
   const Json* v = req.find(key);
   return (v != nullptr && v->is_number()) ? v->as_number() : fallback;
+}
+
+/// An optional integral field in [0, max]; absent reads as 0. A negative,
+/// non-integral or larger value (NaN and 1e300 included) is an
+/// invalid_argument naming the field: the integer casts downstream would be
+/// undefined behaviour on it.
+StatusOr<double> get_integer(const Json& req, std::string_view key, double max) {
+  const double v = get_number(req, key, 0.0);
+  if (!(v >= 0.0 && v <= max) || std::trunc(v) != v) {
+    return Status::invalid_argument("'" + std::string(key) + "' must be an integer in [0, " +
+                                    std::to_string(static_cast<std::int64_t>(max)) + "]");
+  }
+  return v;
 }
 
 bool get_bool(const Json& req, std::string_view key, bool fallback) {
@@ -204,11 +220,24 @@ std::uint64_t Server::run(std::istream& in, std::ostream& out) {
       continue;
     }
 
+    // The deadline counts from submission on the steady clock, so its limit
+    // is the clock's remaining range.
+    using Clock = std::chrono::steady_clock;
+    const auto deadline_range = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - Clock::now());
+    const StatusOr<double> priority =
+        get_integer(req, "priority", std::numeric_limits<int>::max());
+    const StatusOr<double> deadline_ms =
+        get_integer(req, "deadline_ms", static_cast<double>(deadline_range.count()));
+    if (!priority.ok() || !deadline_ms.ok()) {
+      enqueue_inline(render_inline(id, priority.ok() ? deadline_ms.status() : priority.status()));
+      continue;
+    }
     const SessionRef session = session_for(get_string(req, "session", "default"));
     JobOptions job_options;
-    job_options.priority = static_cast<int>(get_number(req, "priority", 0.0));
+    job_options.priority = static_cast<int>(priority.value());
     job_options.deadline =
-        std::chrono::milliseconds(static_cast<long>(get_number(req, "deadline_ms", 0.0)));
+        std::chrono::milliseconds(static_cast<std::int64_t>(deadline_ms.value()));
 
     auto payload = std::make_shared<Json>();
     std::function<void()> body;

@@ -48,7 +48,7 @@ namespace statsizer::serve {
 
 struct SessionOptions {
   core::FlowOptions flow;
-  /// What-if engine (timing::make_analyzer registry name). Must support
+  /// What-if engine (a timing::make_analyzer built-in name). Must support
   /// what_if; "fullssta" (default) also supports concurrent single-resize
   /// speculations.
   std::string engine = "fullssta";

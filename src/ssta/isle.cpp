@@ -4,7 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "sta/dsta.h"
 #include "util/exec.h"
 #include "util/numeric.h"
 #include "util/rng.h"
@@ -196,6 +199,21 @@ Proposal finalize_proposal(const sta::TimingContext& ctx, const IsleOptions& opt
 }  // namespace
 
 IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
+  // NaN passes every ordered comparison below, so non-finite values are
+  // rejected first.
+  for (const auto& [value, field] :
+       {std::pair{options.clock_period_ps, "clock_period_ps"},
+        std::pair{options.defensive_fraction, "defensive_fraction"},
+        std::pair{options.surrogate_kappa, "surrogate_kappa"},
+        std::pair{options.max_shift, "max_shift"},
+        std::pair{options.target_yield_se, "target_yield_se"},
+        std::pair{options.min_ess_fraction, "min_ess_fraction"},
+        std::pair{options.min_failure_ess, "min_failure_ess"}}) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument(std::string("run_isle: ") + field + " must be finite, got " +
+                                  std::to_string(value));
+    }
+  }
   if (options.defensive_fraction < 0.0 || options.defensive_fraction > 1.0) {
     throw std::invalid_argument("run_isle: defensive_fraction must be in [0, 1]");
   }
@@ -259,6 +277,7 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
         count, kChunkSamples, options.threads,
         [&](std::size_t begin, std::size_t end, std::size_t) {
           std::vector<double> arrival(nl.node_count(), 0.0);
+          const auto arrival_of = [&](GateId f) { return arrival[f]; };
           std::vector<double> x1s(prop.tracked, 0.0);
           std::vector<double> x2s(prop.tracked, 0.0);
           for (std::size_t i = begin; i < end; ++i) {
@@ -276,33 +295,32 @@ IsleResult run_isle(const sta::TimingContext& ctx, const IsleOptions& options) {
             const double zg = rng.normal();
             const double xg =
                 zg + (comp >= 0 ? prop.components[comp].theta_global : 0.0);
+            // The DSTA forward kernel with sampled arc delays, in
+            // run_monte_carlo's topological and arc order.
             for (const GateId id : ctx.topo_order()) {
               const auto& g = nl.gate(id);
               double arr =
                   (g.fanins.empty() && !pi_arrival.empty()) ? pi_arrival[id] : 0.0;
               const std::uint32_t off = ctx.arc_offset(id);
-              for (std::size_t a = 0; a < g.fanins.size(); ++a) {
-                double d;
+              const auto delay_of = [&](std::size_t a) {
                 const std::int32_t slot =
                     prop.tracked == 0 ? -1 : prop.slot_of_arc[off + a];
-                if (slot >= 0) {
-                  // Tracked coordinate: draw the two normals as
-                  // VariationModel::sample_delay_ps does (local, then floor),
-                  // shift them, and record x for the likelihood ratio.
-                  const double z1 = rng.normal();
-                  const double z2 = rng.normal();
-                  const double x1 = z1 + (comp >= 0 ? prop.shift1[comp][slot] : 0.0);
-                  const double x2 = z2 + (comp >= 0 ? prop.shift2[comp][slot] : 0.0);
-                  x1s[slot] = x1;
-                  x2s[slot] = x2;
-                  d = var.delay_from_normals(ctx.arc_delay_ps(id, a), ctx.drive(id), xg, x1,
-                                             x2);
-                } else {
-                  d = var.sample_delay_ps(ctx.arc_delay_ps(id, a), ctx.drive(id), xg,
-                                          rng);
+                if (slot < 0) {
+                  return var.sample_delay_ps(ctx.arc_delay_ps(id, a), ctx.drive(id), xg, rng);
                 }
-                arr = std::max(arr, arrival[g.fanins[a]] + d);
-              }
+                // Tracked coordinate: draw the two normals as
+                // VariationModel::sample_delay_ps does (local, then floor),
+                // shift them, and record x for the likelihood ratio.
+                const double z1 = rng.normal();
+                const double z2 = rng.normal();
+                const double x1 = z1 + (comp >= 0 ? prop.shift1[comp][slot] : 0.0);
+                const double x2 = z2 + (comp >= 0 ? prop.shift2[comp][slot] : 0.0);
+                x1s[slot] = x1;
+                x2s[slot] = x2;
+                return var.delay_from_normals(ctx.arc_delay_ps(id, a), ctx.drive(id), xg, x1,
+                                              x2);
+              };
+              if (!g.fanins.empty()) arr = sta::latest_arrival(g, arrival_of, delay_of);
               arrival[id] = arr;
             }
             double circuit = 0.0;

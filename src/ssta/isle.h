@@ -141,6 +141,9 @@ struct IsleResult {
   std::vector<double> weights;
 };
 
+/// Throws std::invalid_argument naming the field for a non-finite double
+/// option, a defensive_fraction outside [0, 1], a negative clock_period_ps
+/// or target_yield_se, or a non-positive max_shift.
 [[nodiscard]] IsleResult run_isle(const sta::TimingContext& ctx,
                                   const IsleOptions& options = {});
 

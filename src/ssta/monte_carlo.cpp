@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 
+#include "sta/dsta.h"
 #include "util/exec.h"
 #include "util/numeric.h"
 #include "util/rng.h"
@@ -59,6 +60,7 @@ MonteCarloResult run_monte_carlo(const sta::TimingContext& ctx,
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         if (cooperative) util::checkpoint("ssta/mc/chunk");
         std::vector<double> arrival(nl.node_count(), 0.0);
+        const auto arrival_of = [&](GateId f) { return arrival[f]; };
         std::vector<util::RunningStats> local_node_stats;
         std::vector<util::RunningStats>* node_stats_ptr = nullptr;
         if (options.per_node_stats) {
@@ -70,15 +72,18 @@ MonteCarloResult run_monte_carlo(const sta::TimingContext& ctx,
           // which thread runs it.
           util::Rng rng(util::stream_seed(options.seed, s));
           const double global_z = rng.normal();
+          // The DSTA forward kernel with sampled arc delays. Topological
+          // order and the kernel's arc order fix the draw order.
           for (const GateId id : ctx.topo_order()) {
             const auto& g = nl.gate(id);
             // Constrained primary inputs (set_input_delay) launch at their
             // fixed offset; the guard keeps the unconstrained path bitwise.
             double arr = (g.fanins.empty() && !pi_arrival.empty()) ? pi_arrival[id] : 0.0;
-            for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-              const double d = var.sample_delay_ps(ctx.arc_delay_ps(id, i), ctx.drive(id),
-                                                   global_z, rng);
-              arr = std::max(arr, arrival[g.fanins[i]] + d);
+            if (!g.fanins.empty()) {
+              arr = sta::latest_arrival(g, arrival_of, [&](std::size_t i) {
+                return var.sample_delay_ps(ctx.arc_delay_ps(id, i), ctx.drive(id), global_z,
+                                           rng);
+              });
             }
             arrival[id] = arr;
             if (node_stats_ptr != nullptr) (*node_stats_ptr)[id].add(arr);

@@ -1,11 +1,10 @@
-// Registry plus the FASSTA / DSTA / Monte-Carlo adapters. The FULLSSTA
-// adapter (the incremental what-if overlay) lives in fullssta_analyzer.cpp.
+// The built-in table plus the FASSTA / DSTA / canonical / Monte-Carlo
+// adapters. The FULLSSTA adapter (the incremental what-if overlay) lives in
+// fullssta_analyzer.cpp, the ISLE adapter in isle_analyzer.cpp.
 #include "timing/analyzer.h"
 
-#include <map>
-#include <mutex>
+#include <iterator>
 #include <optional>
-#include <utility>
 
 #include "ssta/canonical.h"
 #include "sta/dsta.h"
@@ -312,65 +311,47 @@ std::unique_ptr<Analyzer> make_mc_analyzer(const AnalyzerOptions& options) {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Registry
+// The built-in table
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, AnalyzerFactory, std::less<>> factories;
+struct Builtin {
+  std::string_view name;
+  std::unique_ptr<Analyzer> (*make)(const AnalyzerOptions&);
+};
 
-  Registry() {
-    factories.emplace("fullssta", detail::make_fullssta_analyzer);
-    factories.emplace("fassta", detail::make_fassta_analyzer);
-    factories.emplace("canonical", detail::make_canonical_analyzer);
-    factories.emplace("dsta", detail::make_dsta_analyzer);
-    factories.emplace("mc", detail::make_mc_analyzer);
-    factories.emplace("isle", detail::make_isle_analyzer);
-  }
-
-  static Registry& instance() {
-    static Registry r;
-    return r;
-  }
+/// Sorted by name: analyzer_names() and the unknown-name message list the
+/// engines in this order.
+constexpr Builtin kBuiltins[] = {
+    {"canonical", detail::make_canonical_analyzer},
+    {"dsta", detail::make_dsta_analyzer},
+    {"fassta", detail::make_fassta_analyzer},
+    {"fullssta", detail::make_fullssta_analyzer},
+    {"isle", detail::make_isle_analyzer},
+    {"mc", detail::make_mc_analyzer},
 };
 
 }  // namespace
 
 std::unique_ptr<Analyzer> make_analyzer(std::string_view name, const AnalyzerOptions& options) {
-  Registry& reg = Registry::instance();
-  AnalyzerFactory factory;
-  {
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    const auto it = reg.factories.find(name);
-    if (it == reg.factories.end()) {
-      std::string known;
-      for (const auto& [n, f] : reg.factories) {
-        if (!known.empty()) known += ", ";
-        known += n;
-      }
-      throw std::invalid_argument("unknown analyzer \"" + std::string(name) +
-                                  "\" (known: " + known + ")");
-    }
-    factory = it->second;
+  for (const Builtin& b : kBuiltins) {
+    if (b.name == name) return b.make(options);
   }
-  return factory(options);
+  std::string known;
+  for (const Builtin& b : kBuiltins) {
+    if (!known.empty()) known += ", ";
+    known += b.name;
+  }
+  throw std::invalid_argument("unknown analyzer \"" + std::string(name) + "\" (known: " +
+                              known + ")");
 }
 
 std::vector<std::string> analyzer_names() {
-  Registry& reg = Registry::instance();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
   std::vector<std::string> names;
-  names.reserve(reg.factories.size());
-  for (const auto& [n, f] : reg.factories) names.push_back(n);
-  return names;  // std::map iterates sorted
-}
-
-bool register_analyzer(std::string name, AnalyzerFactory factory) {
-  Registry& reg = Registry::instance();
-  const std::lock_guard<std::mutex> lock(reg.mutex);
-  return reg.factories.emplace(std::move(name), std::move(factory)).second;
+  names.reserve(std::size(kBuiltins));
+  for (const Builtin& b : kBuiltins) names.emplace_back(b.name);
+  return names;
 }
 
 }  // namespace statsizer::timing

@@ -6,7 +6,7 @@
 // layer each engine lived behind its own free-function signature, so every
 // call site re-plumbed engines by hand. `Analyzer` unifies them:
 //
-//   auto an = timing::make_analyzer("fullssta");      // registry, by name
+//   auto an = timing::make_analyzer("fullssta");      // built-in, by name
 //   const timing::Summary& s = an->analyze(ctx);      // full analysis
 //   auto spec = an->propose(gate, size);              // transactional what-if
 //   double cost = spec->score().mean_ps + lambda * spec->score().sigma_ps;
@@ -53,7 +53,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -70,9 +69,10 @@
 
 namespace statsizer::timing {
 
-/// What an engine behind the interface can deliver. Callers gate optional
-/// behaviour (parallel confirmation fan-out, pdf-based yield, WNSS tracing)
-/// on these flags instead of hard-coding engine names.
+/// What an engine behind the interface can deliver. Callers that take an
+/// engine name from outside the program (the serving Session, the examples)
+/// gate optional behaviour — concurrent what-ifs, pdf-based yield — on these
+/// flags instead of hard-coding engine names.
 struct Capabilities {
   /// Summary::node carries per-node arrival moments (WNSS tracing and FASSTA
   /// boundary conditions need these).
@@ -150,7 +150,7 @@ class Analyzer {
  public:
   virtual ~Analyzer() = default;
 
-  /// Registry name ("fullssta", "fassta", "dsta", "mc", ...).
+  /// Engine name ("fullssta", "fassta", "dsta", "mc", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual Capabilities capabilities() const = 0;
 
@@ -175,7 +175,7 @@ class Analyzer {
       std::span<const Resize> resizes) = 0;
 };
 
-/// Engine-specific knobs carried through the registry. Each adapter reads
+/// Engine-specific knobs carried through make_analyzer. Each adapter reads
 /// only its own field.
 struct AnalyzerOptions {
   ssta::FullSstaOptions fullssta;
@@ -189,10 +189,7 @@ struct AnalyzerOptions {
   std::optional<double> clock_period_ps;
 };
 
-using AnalyzerFactory =
-    std::function<std::unique_ptr<Analyzer>(const AnalyzerOptions&)>;
-
-/// Creates an analyzer by registry name. Built-ins: "fullssta" (discrete-pdf
+/// Creates a built-in analyzer by name: "fullssta" (discrete-pdf
 /// SSTA with the incremental what-if overlay), "fassta" (Clark-moment fast
 /// engine), "canonical" (correlation-aware first-order SSTA), "dsta"
 /// (deterministic STA; sigma = 0), "mc" (Monte Carlo), "isle" (importance-
@@ -202,11 +199,7 @@ using AnalyzerFactory =
 [[nodiscard]] std::unique_ptr<Analyzer> make_analyzer(std::string_view name,
                                                       const AnalyzerOptions& options = {});
 
-/// Registered names, sorted. The conformance suite iterates this.
+/// The built-in names, sorted. The conformance suite iterates this.
 [[nodiscard]] std::vector<std::string> analyzer_names();
-
-/// Registers an additional backend. Returns false if the name is already
-/// taken.
-bool register_analyzer(std::string name, AnalyzerFactory factory);
 
 }  // namespace statsizer::timing

@@ -1,5 +1,6 @@
-// Registry-driven conformance suite for the timing::Analyzer engine API.
-// Every registered engine runs through the same contract checks:
+// Conformance suite for the timing::Analyzer engine API, driven by
+// analyzer_names(). Every built-in engine runs through the same contract
+// checks:
 //   * analyze() produces a finite summary consistent with its capabilities;
 //   * propose()/score()/rollback() leaves the netlist, the TimingContext,
 //     and the analyzer base bitwise-identical to the pre-propose state;
@@ -269,18 +270,6 @@ TEST(AnalyzerRegistry, KnowsTheBuiltins) {
   EXPECT_THROW((void)make_analyzer("no-such-engine"), std::invalid_argument);
 }
 
-TEST(AnalyzerRegistry, AcceptsExtensionBackends) {
-  // Registering a new backend under a taken name fails; a fresh name works
-  // and resolves through make_analyzer.
-  EXPECT_FALSE(register_analyzer(
-      "fullssta", [](const AnalyzerOptions& o) { return make_analyzer("dsta", o); }));
-  static bool registered = register_analyzer(
-      "conformance-alias", [](const AnalyzerOptions& o) { return make_analyzer("dsta", o); });
-  EXPECT_TRUE(registered);
-  auto an = make_analyzer("conformance-alias");
-  EXPECT_EQ(an->name(), "dsta");
-}
-
 // ---------------------------------------------------------------------------
 // Cone what-if vs full re-run: the bitwise-equivalence the parallel rescue
 // confirmations and area recovery rest on, for all three cone engines
@@ -408,40 +397,6 @@ INSTANTIATE_TEST_SUITE_P(Circuits, FullSstaWhatIf, ::testing::Range(0, 6),
                          });
 
 // ---------------------------------------------------------------------------
-// Engine selection plumbing: the sizer and the flow resolve confirm/score
-// engines through the registry.
-// ---------------------------------------------------------------------------
-
-TEST(EngineSelection, SizerRunsWithAlternateEngines) {
-  // FASSTA confirming FASSTA plans: a coherent (if approximate) setup that
-  // exercises the non-default confirm path end to end.
-  Bench b(circuits::make_ripple_adder(4));
-  opt::StatisticalSizerOptions opt;
-  opt.objective.lambda = 3.0;
-  opt.confirm_engine = "fassta";
-  opt.score_engine = "dsta";  // serialized analyzer-path inner scoring
-  opt.max_iterations = 3;
-  const auto stats = opt::size_statistically(*b.ctx, opt);
-  EXPECT_GT(stats.initial.mean_ps, 0.0);
-  EXPECT_LE(stats.final_.mean_ps + 3.0 * stats.final_.sigma_ps,
-            stats.initial.mean_ps + 3.0 * stats.initial.sigma_ps);
-}
-
-TEST(EngineSelection, SizerRejectsIncapableOrUnknownEngines) {
-  Bench b(circuits::make_ripple_adder(4));
-  opt::StatisticalSizerOptions opt;
-  opt.max_iterations = 1;
-  opt.confirm_engine = "no-such-engine";
-  EXPECT_THROW((void)opt::size_statistically(*b.ctx, opt), std::invalid_argument);
-  opt.confirm_engine = "mc";  // no per-node moments unless per_node_stats
-  EXPECT_THROW((void)opt::size_statistically(*b.ctx, opt), std::invalid_argument);
-  opt.confirm_engine = "fullssta";
-  opt.score_engine = "dsta";
-  opt.scoring = opt::InnerScoring::kSubcircuit;  // needs the fassta kernel
-  EXPECT_THROW((void)opt::size_statistically(*b.ctx, opt), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
 // ISLE degenerate-weights stress: the estimator must flag, not fabricate.
 // ---------------------------------------------------------------------------
 
@@ -506,19 +461,22 @@ TEST(EngineSelection, SizerValidatesYieldTargetConfiguration) {
   opt::StatisticalSizerOptions opt;
   opt.max_iterations = 1;
   opt.target_yield = 0.5;
-  opt.yield_engine = "no-such-engine";
-  EXPECT_THROW((void)opt::size_statistically(*b.ctx, opt), std::invalid_argument);
-  opt.yield_engine = "isle";  // no clock period anywhere: cannot evaluate yield
+  // No clock period anywhere: cannot evaluate yield.
   EXPECT_THROW((void)opt::size_statistically(*b.ctx, opt), std::invalid_argument);
 
-  // With a clock the loop runs and reports the final yield + draw total.
+  // With a clock the loop runs and reports the final yield + draw total,
+  // under importance sampling (the default) and plain Monte Carlo (kNominal).
   const ssta::FullSstaResult full = ssta::run_fullssta(*b.ctx);
   opt.isle.clock_period_ps = full.mean_ps + 3.0 * full.sigma_ps;
   opt.isle.samples = 256;
-  const auto stats = opt::size_statistically(*b.ctx, opt);
-  EXPECT_GE(stats.final_yield, 0.0);
-  EXPECT_LE(stats.final_yield, 1.0);
-  EXPECT_GT(stats.yield_draws, 0u);
+  for (const ssta::IsleProposal proposal :
+       {ssta::IsleProposal::kImportance, ssta::IsleProposal::kNominal}) {
+    opt.isle.proposal = proposal;
+    const auto stats = opt::size_statistically(*b.ctx, opt);
+    EXPECT_GE(stats.final_yield, 0.0);
+    EXPECT_LE(stats.final_yield, 1.0);
+    EXPECT_GT(stats.yield_draws, 0u);
+  }
 }
 
 TEST(EngineSelection, FlowMakeAnalyzerUsesFlowOptions) {

@@ -24,8 +24,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -289,6 +292,38 @@ TEST(IsleYield, SeedReproducibility) {
   opt.seed = 4321;
   const ssta::IsleResult other = ssta::run_isle(*b.ctx, opt);
   EXPECT_NE(other.delay_samples, first.delay_samples);
+}
+
+TEST(IsleYield, RejectsNonFiniteOptions) {
+  // NaN passes every ordered range check: before the finiteness check a NaN
+  // defensive_fraction silently ran nominal Monte Carlo, a NaN max_shift
+  // broke std::clamp's precondition and a NaN clock reported yield 1.
+  const ChainBench b(8);
+  using Field = double ssta::IsleOptions::*;
+  const std::pair<Field, const char*> fields[] = {
+      {&ssta::IsleOptions::clock_period_ps, "clock_period_ps"},
+      {&ssta::IsleOptions::defensive_fraction, "defensive_fraction"},
+      {&ssta::IsleOptions::surrogate_kappa, "surrogate_kappa"},
+      {&ssta::IsleOptions::max_shift, "max_shift"},
+      {&ssta::IsleOptions::target_yield_se, "target_yield_se"},
+      {&ssta::IsleOptions::min_ess_fraction, "min_ess_fraction"},
+      {&ssta::IsleOptions::min_failure_ess, "min_failure_ess"},
+  };
+  for (const auto& [field, name] : fields) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      ssta::IsleOptions opt;
+      opt.samples = 64;
+      opt.*field = bad;
+      try {
+        (void)ssta::run_isle(*b.ctx, opt);
+        ADD_FAILURE() << "run_isle accepted " << name << " = " << bad;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+      }
+    }
+  }
 }
 
 TEST(IsleYield, NominalProposalIsBitwisePlainMonteCarlo) {

@@ -198,6 +198,22 @@ TEST(JobManager, DeadlineAbortsMidJobAtACheckpoint) {
   EXPECT_EQ(job->wait().code(), StatusCode::kDeadlineExceeded);
 }
 
+TEST(JobManager, DeadlinePastTheClockRangeNeverExpires) {
+  // Submission time plus milliseconds::max() overflows the steady clock; the
+  // deadline saturates instead, so the job runs through its checkpoints.
+  JobManagerOptions options;
+  options.threads = 1;
+  JobManager manager(options);
+  JobOptions far;
+  far.deadline = std::chrono::milliseconds::max();
+  JobRef job = manager.submit(
+      [] {
+        for (int i = 0; i < 3; ++i) util::checkpoint("test/loop");
+      },
+      far);
+  EXPECT_TRUE(job->wait().ok());
+}
+
 TEST(JobManager, ShedsWhenQueueFullThenRecovers) {
   JobManagerOptions options;
   options.threads = 1;
@@ -623,6 +639,37 @@ TEST(ServeServer, DeadlineExceededRequestAnswersStructurally) {
   EXPECT_FALSE(ok_of(responses[1]));
   EXPECT_EQ(string_at(responses[1], "code"), "deadline_exceeded");
   EXPECT_TRUE(ok_of(responses[2]));
+}
+
+TEST(ServeServer, RejectsUnrepresentableDeadlineAndPriority) {
+  ServerOptions options;
+  Server server(options);
+  // 9223372036854 ms is about 292 years: submission time plus that overflows
+  // the steady clock, which used to expire the request while queued. 1e300
+  // and the negative or fractional values used to reach an integer cast.
+  const auto responses = run_script(
+      server,
+      "{\"id\":1,\"op\":\"load\",\"workload\":\"c432\"}\n"
+      "{\"id\":2,\"op\":\"yield\",\"deadline_ms\":9223372036854}\n"
+      "{\"id\":3,\"op\":\"info\",\"deadline_ms\":1e300}\n"
+      "{\"id\":4,\"op\":\"info\",\"priority\":1e300}\n"
+      "{\"id\":5,\"op\":\"info\",\"deadline_ms\":-5}\n"
+      "{\"id\":6,\"op\":\"info\",\"priority\":-1}\n"
+      "{\"id\":7,\"op\":\"info\",\"deadline_ms\":2.5}\n"
+      "{\"id\":8,\"op\":\"info\",\"priority\":3,\"deadline_ms\":60000}\n"
+      "{\"id\":9,\"op\":\"quit\"}\n");
+  ASSERT_EQ(responses.size(), 9u);
+  EXPECT_TRUE(ok_of(responses[0]));
+  const char* fields[] = {"deadline_ms", "deadline_ms", "priority",
+                          "deadline_ms", "priority", "deadline_ms"};
+  for (std::size_t i = 1; i <= 6; ++i) {
+    EXPECT_FALSE(ok_of(responses[i])) << i;
+    EXPECT_EQ(string_at(responses[i], "code"), "invalid_argument") << i;
+    EXPECT_NE(string_at(responses[i], "error").find(fields[i - 1]), std::string::npos)
+        << responses[i].dump();
+  }
+  EXPECT_TRUE(ok_of(responses[7]));  // in-range values still serve
+  EXPECT_TRUE(ok_of(responses[8]));  // quit
 }
 
 TEST(ServeServer, ShedsWhenTheQueueIsFullWithRetryAfter) {
