@@ -14,6 +14,7 @@
 #include "core/flow.h"
 #include "drc/drc.h"
 #include "fassta/engine.h"
+#include "opt/wnss.h"
 #include "ssta/canonical.h"
 #include "ssta/fullssta.h"
 #include "ssta/monte_carlo.h"
@@ -69,15 +70,38 @@ void BM_Fassta(benchmark::State& state, const std::string& name) {
   state.SetLabel(std::to_string(flow.netlist().logic_gate_count()) + " gates");
 }
 
+/// One plan-stage scoring pass the way the sizer runs it: the FASSTA base
+/// sweep once, then every (gate, size) candidate on c880's WNSS path scored
+/// over its cone. The label reports the candidate count and the mean cone
+/// size (gates re-timed per candidate).
 void BM_FasstaCandidate(benchmark::State& state, const std::string& name) {
   auto& flow = flow_for(name);
-  const fassta::Engine engine(flow.timing());
-  // Representative inner-loop call: re-scoring one candidate size.
-  const auto g = flow.netlist().outputs()[0].driver;
-  const auto& cell = flow.timing().cell(g);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run_with_candidate(g, cell));
+  const sta::TimingContext& ctx = flow.timing();
+  const fassta::Engine engine(ctx);
+  const ssta::FullSstaResult full = ssta::run_fullssta(ctx);
+  const opt::WnssTrace trace = opt::trace_wnss(ctx, full.node);
+  std::vector<std::pair<netlist::GateId, const liberty::Cell*>> jobs;
+  for (const netlist::GateId g : trace.path) {
+    const auto cg = flow.netlist().gate(g).cell_group;
+    for (std::uint16_t s = 0; s < ctx.library().group(cg).size_count(); ++s) {
+      jobs.emplace_back(g, &ctx.library().cell_for(cg, s));
+    }
   }
+  fassta::Engine::Scratch scratch;
+  std::size_t cone_gates = 0;
+  for (auto _ : state) {
+    const std::vector<sta::NodeMoments> base = engine.run();
+    cone_gates = 0;
+    for (const auto& [g, cell] : jobs) {
+      benchmark::DoNotOptimize(engine.score_candidate(base, g, *cell, scratch));
+      cone_gates += scratch.cone.size();
+    }
+  }
+  const double mean_cone =
+      jobs.empty() ? 0.0 : static_cast<double>(cone_gates) / static_cast<double>(jobs.size());
+  state.SetLabel(std::to_string(jobs.size()) + " candidates, mean cone " +
+                 std::to_string(mean_cone) + " of " +
+                 std::to_string(flow.netlist().logic_gate_count()) + " gates");
 }
 
 void BM_Fullssta(benchmark::State& state, const std::string& name) {

@@ -66,24 +66,22 @@ BENCHMARK(BM_Quantile);
 void BM_GateFold(benchmark::State& state) {
   const auto fanins = static_cast<std::size_t>(state.range(0));
   const statsizer::ssta::FullSstaOptions options;  // 13 samples, +-4 sigma
-  statsizer::netlist::Gate gate;
   std::vector<DiscretePdf> arrival;
   std::vector<double> delay;
   std::vector<double> sigma;
   for (std::size_t i = 0; i < fanins; ++i) {
     const double k = static_cast<double>(i);
-    gate.fanins.push_back(static_cast<statsizer::netlist::GateId>(i));
     arrival.push_back(
         DiscretePdf::normal(200.0 + 6.0 * k, 12.0 + k, options.samples_per_pdf));
     delay.push_back(30.0 + 2.0 * k);
     sigma.push_back(3.0 + 0.5 * k);
   }
-  const auto arrival_of = [&](statsizer::netlist::GateId f) -> const DiscretePdf& {
-    return arrival[f];
+  const auto through = [&](std::size_t i) {
+    return statsizer::ssta::through_pdf(arrival[i], delay[i], sigma[i], options);
   };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(statsizer::ssta::gate_arrival_pdf(
-        gate, delay.data(), sigma.data(), arrival_of, options));
+    benchmark::DoNotOptimize(
+        statsizer::ssta::gate_arrival_pdf(fanins, through, options.samples_per_pdf));
   }
 }
 BENCHMARK(BM_GateFold)->Arg(1)->Arg(2)->Arg(4);

@@ -168,13 +168,16 @@ if [[ "${TSAN}" == 1 ]]; then
   # happens-before analysis, so findings do not depend on the host's core
   # count. scripts/tsan.supp documents every tolerated report (currently
   # none); halt_on_error makes any unsuppressed report fail the run loudly.
+  # FasstaCone scores candidates concurrently against one shared base, and
+  # the FULLSSTA what-ifs in FullSstaWhatIf read the analyzer's shared per-arc
+  # memo while they score.
   # The serving suites (JobManager, BatchIsolation, ServeSession, ServeServer)
   # are in: the job system's pool handoffs, the session's shared/exclusive
   # lock discipline under concurrent what-ifs, and the server's reader/writer/
   # worker triangle are exactly the lifetimes TSan should walk.
   echo "check.sh: tsan pass (concurrency suites)"
   CTEST_EXTRA=(
-    -R 'AnalyzerConformance|FullSstaWhatIf|AnalyzerRegistry|EngineSelection|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|FirstAccepted|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer'
+    -R 'AnalyzerConformance|FullSstaWhatIf|FasstaCone|AnalyzerRegistry|EngineSelection|IsleDegeneracy|LevelizedUpdate|LevelizedWhatIf|SizerParallel|AreaRecovery|MonteCarloParallel|ParallelFor|FirstAccepted|StreamSeed|ThreadPool|IsleYield|JobManager|BatchIsolation|ServeSession|ServeServer'
     -E 'IsleYield.ResolvesSdcClockOnMesh8'
   )
   export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp halt_on_error=1 second_deadlock_stack=1"
@@ -320,12 +323,13 @@ this line is not json
 {"id":4,"op":"frobnicate"}
 {"id":5,"op":"yield","deadline_ms":1}
 {"id":6,"op":"yield","deadline_ms":9223372036854}
-{"id":7,"op":"status"}
-{"id":8,"op":"quit"}
+{"id":7,"op":"whatif","gate":"g10","size":65537}
+{"id":8,"op":"status"}
+{"id":9,"op":"quit"}
 EOF
 )"
-  if [[ "$(wc -l <<< "${SERVE_OUT}")" -ne 8 ]]; then
-    echo "check.sh: serve smoke FAILED: expected 8 response lines" >&2
+  if [[ "$(wc -l <<< "${SERVE_OUT}")" -ne 9 ]]; then
+    echo "check.sh: serve smoke FAILED: expected 9 response lines" >&2
     echo "${SERVE_OUT}" >&2
     exit 1
   fi
@@ -333,6 +337,12 @@ EOF
   # to overflow into an instant expiry.
   if ! sed -n 6p <<< "${SERVE_OUT}" | grep -qF '"code":"invalid_argument"'; then
     echo "check.sh: serve smoke FAILED: overflowing deadline_ms not rejected" >&2
+    echo "${SERVE_OUT}" >&2
+    exit 1
+  fi
+  # A size index past 16 bits is refused, not wrapped to a smaller size.
+  if ! sed -n 7p <<< "${SERVE_OUT}" | grep -qF "'size' must be an integer"; then
+    echo "check.sh: serve smoke FAILED: out-of-range what-if size not rejected" >&2
     echo "${SERVE_OUT}" >&2
     exit 1
   fi

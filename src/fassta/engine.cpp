@@ -28,59 +28,88 @@ NodeMoments Engine::stat_max(const NodeMoments& a, const NodeMoments& b) const {
   return NodeMoments{r.mean, std::sqrt(r.var)};
 }
 
-template <typename ArcsOf>
-NodeMoments Engine::sweep(std::vector<NodeMoments>& arrival, ArcsOf&& arcs_of) const {
+std::vector<NodeMoments> Engine::run(NodeMoments* circuit) const {
   const auto& nl = ctx_.netlist();
+  std::vector<NodeMoments> arrival(nl.node_count());
   const auto arrival_of = [&](GateId f) -> const NodeMoments& { return arrival[f]; };
   sta::run_levels(ctx_.full_schedule(), "fassta/run/level", [&](GateId id) {
     const auto& g = nl.gate(id);
     if (g.fanins.empty()) return;  // PI/constant: arrival (0, 0)
-    arrival[id] = gate_arrival(g, arrival_of, arcs_of(id));
-  });
-  return circuit_arrival(arrival_of);
-}
-
-std::vector<NodeMoments> Engine::run(NodeMoments* circuit) const {
-  std::vector<NodeMoments> arrival(ctx_.netlist().node_count());
-  const NodeMoments out = sweep(arrival, [this](GateId id) {
-    return [this, id](std::size_t i) {
+    arrival[id] = gate_arrival(g, arrival_of, [&](std::size_t i) {
       return NodeMoments{ctx_.arc_delay_ps(id, i), ctx_.arc_sigma_ps(id, i)};
-    };
+    });
   });
-  if (circuit != nullptr) *circuit = out;
+  if (circuit != nullptr) *circuit = circuit_arrival(arrival_of);
   return arrival;
 }
 
-sta::NodeMoments Engine::run_with_candidate(GateId center,
-                                            const liberty::Cell& candidate) const {
-  Scratch scratch;
-  return run_with_candidate(center, candidate, scratch);
-}
-
-sta::NodeMoments Engine::run_with_candidate(GateId center, const liberty::Cell& candidate,
-                                            Scratch& scratch) const {
+NodeMoments Engine::score_candidate(std::span<const NodeMoments> base, GateId center,
+                                    const liberty::Cell& candidate, Scratch& scratch) const {
   const auto& nl = ctx_.netlist();
-  scratch.arrival.assign(nl.node_count(), NodeMoments{});
-  return sweep(scratch.arrival, [&](GateId id) {
-    const bool is_center = (id == center);
-    // Drivers of the center see a load delta; everything else is snapshot.
-    double load = ctx_.load_ff(id);
-    bool perturbed = is_center;
-    if (!is_center) {
-      const auto& outs = nl.gate(id).fanouts;
-      if (std::find(outs.begin(), outs.end(), center) != outs.end()) {
-        load = ctx_.load_ff_with_resize(id, center, candidate);
-        perturbed = (load != ctx_.load_ff(id));
-      }
+  // in_cone marks: 1 = downstream (snapshot arcs, new inputs), 2 = perturbed
+  // (the center, or a driver whose load the candidate moves: arcs recomputed).
+  constexpr std::uint8_t kDownstream = 1;
+  constexpr std::uint8_t kPerturbed = 2;
+  if (scratch.in_cone.size() != nl.node_count()) {
+    scratch.in_cone.assign(nl.node_count(), 0);
+    scratch.arrival.resize(nl.node_count());
+  }
+  std::vector<std::uint8_t>& in_cone = scratch.in_cone;
+  std::vector<GateId>& cone = scratch.cone;
+  cone.clear();
+  const auto mark = [&](GateId g, std::uint8_t how) {
+    if (in_cone[g] == 0) {
+      in_cone[g] = how;
+      cone.push_back(g);
     }
-    const liberty::Cell* cell = nullptr;
-    if (perturbed) cell = is_center ? &candidate : &ctx_.cell(id);
-    return [this, id, cell, load](std::size_t i) {
-      if (cell == nullptr) return NodeMoments{ctx_.arc_delay_ps(id, i), ctx_.arc_sigma_ps(id, i)};
-      const double d = ctx_.arc_delay_with(id, i, *cell, load);
-      return NodeMoments{d, ctx_.sigma_for(*cell, d)};
-    };
+  };
+
+  // Seeds. A PI/constant has no arcs (its arrival stays (0, 0)), and a
+  // driver whose load comes out unchanged keeps its snapshot arcs, so
+  // neither can change an arrival.
+  const auto& cg = nl.gate(center);
+  if (!cg.fanins.empty()) mark(center, kPerturbed);
+  for (const GateId d : cg.fanins) {
+    if (in_cone[d] != 0 || nl.gate(d).fanins.empty()) continue;
+    if (ctx_.load_ff_with_resize(d, center, candidate) != ctx_.load_ff(d)) mark(d, kPerturbed);
+  }
+  // Fanout closure; `cone` doubles as the worklist.
+  for (std::size_t head = 0; head < cone.size(); ++head) {
+    for (const GateId f : nl.gate(cone[head]).fanouts) mark(f, kDownstream);
+  }
+  // Level order (fanins strictly below); the id tiebreak only fixes the
+  // order, the values cannot depend on it.
+  const auto& level_of = ctx_.levelization().level_of;
+  std::sort(cone.begin(), cone.end(), [&](GateId a, GateId b) {
+    return level_of[a] != level_of[b] ? level_of[a] < level_of[b] : a < b;
   });
+
+  std::vector<NodeMoments>& arrival = scratch.arrival;
+  const auto arrival_of = [&](GateId f) -> const NodeMoments& {
+    return in_cone[f] != 0 ? arrival[f] : base[f];
+  };
+  for (const GateId id : cone) {
+    const auto& g = nl.gate(id);
+    if (in_cone[id] == kDownstream) {
+      arrival[id] = gate_arrival(g, arrival_of, [&](std::size_t i) {
+        return NodeMoments{ctx_.arc_delay_ps(id, i), ctx_.arc_sigma_ps(id, i)};
+      });
+      continue;
+    }
+    // Re-timed: the center on the candidate at its own load, a driver on its
+    // bound cell at its new load.
+    const bool is_center = id == center;
+    const liberty::Cell& cell = is_center ? candidate : ctx_.cell(id);
+    const double load =
+        is_center ? ctx_.load_ff(id) : ctx_.load_ff_with_resize(id, center, candidate);
+    arrival[id] = gate_arrival(g, arrival_of, [&](std::size_t i) {
+      const double d = ctx_.arc_delay_with(id, i, cell, load);
+      return NodeMoments{d, ctx_.sigma_for(cell, d)};
+    });
+  }
+  const NodeMoments out = circuit_arrival(arrival_of);
+  for (const GateId id : cone) in_cone[id] = 0;
+  return out;
 }
 
 std::vector<NodeMoments> Engine::compute_downstream() const {

@@ -54,7 +54,11 @@ class Engine {
   /// optimizer's parallel inner loop cheap. If a call throws, discard the
   /// Scratch (its bookkeeping may be mid-reset).
   struct Scratch {
-    std::vector<sta::NodeMoments> arrival;   ///< run_with_candidate workspace
+    std::vector<sta::NodeMoments> arrival;   ///< score_candidate: arrivals, valid on the cone
+    std::vector<std::uint8_t> in_cone;       ///< score_candidate: all-zero between calls
+    /// score_candidate: the candidate's dirty closure in level order; after a
+    /// call it still holds the last candidate's cone (its size is the work).
+    std::vector<netlist::GateId> cone;
     std::vector<sta::NodeMoments> local;     ///< evaluate_candidate: member arrivals
     std::vector<std::uint32_t> local_index;  ///< evaluate_candidate: GateId -> member slot
   };
@@ -102,30 +106,31 @@ class Engine {
     return out;
   }
 
-  /// Full-netlist moment propagation (used standalone and in benchmarks).
-  /// Returns per-node arrival moments; @p circuit is filled with the moments
-  /// of the statistical max over all primary outputs if non-null. Const and
+  /// Full-netlist moment propagation: one O(E) sweep of gate_arrival over
+  /// the level schedule. Returns per-node arrival moments (the base
+  /// score_candidate reads); @p circuit is filled with the moments of the
+  /// statistical max over all primary outputs if non-null. Const and
   /// re-entrant.
   [[nodiscard]] std::vector<sta::NodeMoments> run(sta::NodeMoments* circuit = nullptr) const;
 
-  /// Full-netlist moment propagation with gate @p center hypothetically bound
-  /// to @p candidate: loads of the center's drivers and the affected arc
-  /// delays are recomputed, everything else reuses the snapshot. Returns the
-  /// circuit moments (statistical max over primary outputs). This is the
-  /// robust inner-loop score: unlike a truncated window it sees the
-  /// max-over-all-paths behaviour of the objective (see DESIGN.md,
-  /// "window truncation"). Cost: one O(E) pass, a few microseconds per call.
-  /// Const and re-entrant; allocates its own workspace. Hot loops should use
-  /// the Scratch overload instead.
-  [[nodiscard]] sta::NodeMoments run_with_candidate(netlist::GateId center,
-                                                    const liberty::Cell& candidate) const;
-
-  /// Same, reusing @p scratch for the per-call workspace. Safe to call
-  /// concurrently from many threads as long as every thread passes a distinct
-  /// Scratch; returns moments bitwise-identical to the allocating overload.
-  [[nodiscard]] sta::NodeMoments run_with_candidate(netlist::GateId center,
-                                                    const liberty::Cell& candidate,
-                                                    Scratch& scratch) const;
+  /// Circuit moments (statistical max over primary outputs) with gate
+  /// @p center hypothetically bound to @p candidate, scored incrementally:
+  /// @p base must be run() on the same snapshot, and gate_arrival re-runs
+  /// only over the candidate's dirty closure — the center, its drivers whose
+  /// load the candidate changes (their arcs are recomputed from the new
+  /// load), and the fanout closure of those, in level order; every other
+  /// arrival is read from @p base. Bitwise-identical to a full sweep with the
+  /// perturbed arcs substituted, because every gate outside the closure sees
+  /// exactly the inputs run() saw. This is the robust inner-loop score:
+  /// unlike a truncated window it sees the max-over-all-paths behaviour of
+  /// the objective (see DESIGN.md, "window truncation"). Cost: O(cone) gate
+  /// kernels plus the O(outputs) circuit fold, and an O(nodes) scratch
+  /// allocation only on a Scratch's first use. Const and re-entrant; safe to
+  /// call concurrently as long as every thread passes a distinct Scratch.
+  [[nodiscard]] sta::NodeMoments score_candidate(std::span<const sta::NodeMoments> base,
+                                                 netlist::GateId center,
+                                                 const liberty::Cell& candidate,
+                                                 Scratch& scratch) const;
 
   /// Backward moment pass: for every node, the statistical moments of the
   /// worst downstream path from the node's *output* to any primary output
@@ -163,12 +168,6 @@ class Engine {
   [[nodiscard]] const EngineOptions& options() const { return options_; }
 
  private:
-  /// The full sweep of run() and run_with_candidate(): gate_arrival over the
-  /// full level schedule into @p arrival (pre-sized, zeroed), with
-  /// @p arcs_of(id) giving gate id's arc view; returns circuit_arrival.
-  template <typename ArcsOf>
-  sta::NodeMoments sweep(std::vector<sta::NodeMoments>& arrival, ArcsOf&& arcs_of) const;
-
   const sta::TimingContext& ctx_;
   EngineOptions options_;
 };

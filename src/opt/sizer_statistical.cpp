@@ -55,10 +55,12 @@ CandidateJobs list_candidates(const netlist::Netlist& nl, const liberty::Library
 }
 
 /// The parallel candidate-scoring kernel shared by the plan stage and the
-/// rescue sweeps' prescoring. Fans the FASSTA evaluations across
-/// options.threads workers: every worker reads the same const TimingContext
-/// snapshot (through the shared Engine) and keeps its mutable state private
-/// (a Scratch per chunk); slot i of the result is written exactly once by
+/// rescue sweeps' prescoring. Global scoring runs the full FASSTA sweep once
+/// as the base and scores each candidate over its cone only
+/// (Engine::score_candidate). The evaluations fan across options.threads
+/// workers: every worker reads the same const TimingContext snapshot and
+/// base (through the shared Engine) and keeps its mutable state private (a
+/// Scratch per chunk); slot i of the result is written exactly once by
 /// whichever worker draws it, and the scores themselves do not depend on
 /// evaluation order — so the returned array is bitwise-identical for any
 /// thread count.
@@ -73,6 +75,8 @@ std::vector<double> score_candidates(const sta::TimingContext& ctx,
   const auto& lib = ctx.library();
   const Objective& obj = options.objective;
   std::vector<double> costs(jobs.size());
+  std::vector<sta::NodeMoments> base;
+  if (scoring == InnerScoring::kGlobalFassta) base = engine.run();
   // Chunked so one scratch (and, in subcircuit mode, one window extraction
   // per job) amortizes across several candidates; chunk geometry is a pure
   // function of the job count, never of the thread count.
@@ -88,7 +92,7 @@ std::vector<double> score_candidates(const sta::TimingContext& ctx,
           const CandidateJob& job = jobs[i];
           const liberty::Cell& cell = lib.cell_for(nl.gate(job.gate).cell_group, job.size);
           if (scoring == InnerScoring::kGlobalFassta) {
-            costs[i] = obj.cost(engine.run_with_candidate(job.gate, cell, scratch));
+            costs[i] = obj.cost(engine.score_candidate(base, job.gate, cell, scratch));
           } else {
             // A gate's jobs are contiguous, so one window extraction serves
             // every size of the gate (the window depends only on the gate).

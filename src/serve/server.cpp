@@ -21,22 +21,39 @@ namespace {
 
 using util::Json;
 
-std::string get_string(const Json& req, std::string_view key, std::string_view fallback) {
-  const Json* v = req.find(key);
-  return (v != nullptr && v->is_string()) ? v->as_string() : std::string(fallback);
+/// A present field of the wrong JSON type is an invalid_argument naming it:
+/// falling back to the default would serve a request the client did not
+/// send (a string deadline_ms would run with no deadline at all).
+Status wrong_type(std::string_view key, std::string_view type) {
+  return Status::invalid_argument("'" + std::string(key) + "' must be a " + std::string(type));
 }
 
-double get_number(const Json& req, std::string_view key, double fallback) {
+StatusOr<std::string> get_string(const Json& req, std::string_view key,
+                                 std::string_view fallback) {
   const Json* v = req.find(key);
-  return (v != nullptr && v->is_number()) ? v->as_number() : fallback;
+  if (v == nullptr) return std::string(fallback);
+  if (!v->is_string()) return wrong_type(key, "string");
+  return v->as_string();
 }
 
-/// An optional integral field in [0, max]; absent reads as 0. A negative,
-/// non-integral or larger value (NaN and 1e300 included) is an
-/// invalid_argument naming the field: the integer casts downstream would be
-/// undefined behaviour on it.
-StatusOr<double> get_integer(const Json& req, std::string_view key, double max) {
-  const double v = get_number(req, key, 0.0);
+StatusOr<double> get_number(const Json& req, std::string_view key, double fallback) {
+  const Json* v = req.find(key);
+  if (v == nullptr) return fallback;
+  if (!v->is_number()) return wrong_type(key, "number");
+  return v->as_number();
+}
+
+StatusOr<bool> get_bool(const Json& req, std::string_view key, bool fallback) {
+  const Json* v = req.find(key);
+  if (v == nullptr) return fallback;
+  if (!v->is_bool()) return wrong_type(key, "boolean");
+  return v->as_bool();
+}
+
+/// An integral field in [0, max]. A negative, non-integral or larger value
+/// (NaN and 1e300 included) is an invalid_argument naming the field: the
+/// integer casts downstream would be undefined behaviour on it.
+StatusOr<double> check_integer(double v, std::string_view key, double max) {
   if (!(v >= 0.0 && v <= max) || std::trunc(v) != v) {
     return Status::invalid_argument("'" + std::string(key) + "' must be an integer in [0, " +
                                     std::to_string(static_cast<std::int64_t>(max)) + "]");
@@ -44,37 +61,46 @@ StatusOr<double> get_integer(const Json& req, std::string_view key, double max) 
   return v;
 }
 
-bool get_bool(const Json& req, std::string_view key, bool fallback) {
-  const Json* v = req.find(key);
-  return (v != nullptr && v->is_bool()) ? v->as_bool() : fallback;
+/// An optional integral field in [0, max]; absent reads as 0.
+StatusOr<double> get_integer(const Json& req, std::string_view key, double max) {
+  const StatusOr<double> v = get_number(req, key, 0.0);
+  return v.ok() ? check_integer(v.value(), key, max) : v;
+}
+
+/// One resize of a what-if: a string 'gate' and a 'size' index in [0, 65535].
+Status parse_resize(const Json& e, std::string_view size_key, std::vector<ResizeRequest>& out) {
+  const Json* gate = e.find("gate");
+  const Json* size = e.find("size");
+  if (gate == nullptr || !gate->is_string() || size == nullptr || !size->is_number()) {
+    return Status::invalid_argument(
+        "whatif: needs a string 'gate' and a numeric 'size' (or a 'resizes' array)");
+  }
+  const StatusOr<double> index =
+      check_integer(size->as_number(), size_key, std::numeric_limits<std::uint16_t>::max());
+  if (!index.ok()) return index.status();
+  out.push_back(ResizeRequest{gate->as_string(), static_cast<std::uint16_t>(index.value())});
+  return Status();
 }
 
 Status parse_resizes(const Json& req, std::vector<ResizeRequest>& out) {
-  if (const Json* arr = req.find("resizes"); arr != nullptr) {
-    if (!arr->is_array() || arr->as_array().empty()) {
-      return Status::invalid_argument("whatif: 'resizes' must be a non-empty array");
-    }
-    for (const Json& e : arr->as_array()) {
-      const Json* gate = e.find("gate");
-      const Json* size = e.find("size");
-      if (gate == nullptr || !gate->is_string() || size == nullptr || !size->is_number()) {
-        return Status::invalid_argument(
-            "whatif: each resize needs a string 'gate' and a numeric 'size'");
-      }
-      out.push_back(ResizeRequest{gate->as_string(),
-                                  static_cast<std::uint16_t>(size->as_number())});
-    }
-    return Status();
+  const Json* arr = req.find("resizes");
+  if (arr == nullptr) return parse_resize(req, "size", out);
+  if (!arr->is_array() || arr->as_array().empty()) {
+    return Status::invalid_argument("whatif: 'resizes' must be a non-empty array");
   }
-  const Json* gate = req.find("gate");
-  const Json* size = req.find("size");
-  if (gate == nullptr || !gate->is_string() || size == nullptr || !size->is_number()) {
-    return Status::invalid_argument(
-        "whatif: needs 'gate' + 'size' (or a 'resizes' array)");
+  for (std::size_t i = 0; i < arr->as_array().size(); ++i) {
+    const std::string key = "resizes[" + std::to_string(i) + "].size";
+    if (Status s = parse_resize(arr->as_array()[i], key, out); !s.ok()) return s;
   }
-  out.push_back(ResizeRequest{gate->as_string(),
-                              static_cast<std::uint16_t>(size->as_number())});
   return Status();
+}
+
+/// The first failed status among @p fields, or ok.
+template <typename... Fields>
+Status first_error(const Fields&... fields) {
+  Status out;
+  ((out.ok() && !fields.ok() ? (void)(out = fields.status()) : (void)0), ...);
+  return out;
 }
 
 /// One output line, in request order. Either an already-rendered inline
@@ -184,11 +210,13 @@ std::uint64_t Server::run(std::istream& in, std::ostream& out) {
     const Json& req = parsed.value();
     const Json* id_field = req.find("id");
     const Json id = id_field != nullptr ? *id_field : Json();
-    const std::string op = get_string(req, "op", "");
-    if (op.empty()) {
-      enqueue_inline(render_inline(id, Status::invalid_argument("missing string 'op'")));
+    const StatusOr<std::string> op_field = get_string(req, "op", "");
+    if (!op_field.ok() || op_field.value().empty()) {
+      enqueue_inline(render_inline(
+          id, op_field.ok() ? Status::invalid_argument("missing string 'op'") : op_field.status()));
       continue;
     }
+    const std::string& op = op_field.value();
 
     if (op == "quit") {
       manager_->wait_all();
@@ -229,11 +257,12 @@ std::uint64_t Server::run(std::istream& in, std::ostream& out) {
         get_integer(req, "priority", std::numeric_limits<int>::max());
     const StatusOr<double> deadline_ms =
         get_integer(req, "deadline_ms", static_cast<double>(deadline_range.count()));
-    if (!priority.ok() || !deadline_ms.ok()) {
-      enqueue_inline(render_inline(id, priority.ok() ? deadline_ms.status() : priority.status()));
+    const StatusOr<std::string> session_name = get_string(req, "session", "default");
+    if (const Status s = first_error(priority, deadline_ms, session_name); !s.ok()) {
+      enqueue_inline(render_inline(id, s));
       continue;
     }
-    const SessionRef session = session_for(get_string(req, "session", "default"));
+    const SessionRef session = session_for(session_name.value());
     JobOptions job_options;
     job_options.priority = static_cast<int>(priority.value());
     job_options.deadline =
@@ -243,9 +272,16 @@ std::uint64_t Server::run(std::istream& in, std::ostream& out) {
     std::function<void()> body;
 
     if (op == "load") {
-      const std::string workload = get_string(req, "workload", "");
-      const std::string file = get_string(req, "file", "");
-      const bool baseline = get_bool(req, "baseline", false);
+      const StatusOr<std::string> workload_field = get_string(req, "workload", "");
+      const StatusOr<std::string> file_field = get_string(req, "file", "");
+      const StatusOr<bool> baseline_field = get_bool(req, "baseline", false);
+      if (const Status s = first_error(workload_field, file_field, baseline_field); !s.ok()) {
+        enqueue_inline(render_inline(id, s));
+        continue;
+      }
+      const std::string workload = workload_field.value();
+      const std::string file = file_field.value();
+      const bool baseline = baseline_field.value();
       if (workload.empty() == file.empty()) {
         enqueue_inline(render_inline(
             id, Status::invalid_argument("load: needs exactly one of 'workload' / 'file'")));
@@ -321,8 +357,14 @@ std::uint64_t Server::run(std::istream& in, std::ostream& out) {
         p["resizes"] = s.record.resizes;
       };
     } else if (op == "yield") {
-      const double clock = get_number(req, "clock_period_ps", 0.0);
-      const std::string engine = get_string(req, "engine", "isle");
+      const StatusOr<double> clock_field = get_number(req, "clock_period_ps", 0.0);
+      const StatusOr<std::string> engine_field = get_string(req, "engine", "isle");
+      if (const Status s = first_error(clock_field, engine_field); !s.ok()) {
+        enqueue_inline(render_inline(id, s));
+        continue;
+      }
+      const double clock = clock_field.value();
+      const std::string engine = engine_field.value();
       job_options.cost_bytes = session->approx_cost_bytes();
       body = [session, clock, engine, payload] {
         const StatusOr<YieldResult> r = session->yield(clock, engine);

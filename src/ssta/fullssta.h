@@ -21,9 +21,10 @@ namespace statsizer::ssta {
 struct FullSstaOptions {
   std::size_t samples_per_pdf = 13;  ///< paper: "10-15 samples per pdf"
   double span_sigmas = 4.0;          ///< grid half-width for gate-delay pdfs
-  /// Also return the arrival pdf of every node (FullSstaResult::node_pdf).
-  /// Off by default: the pdfs are only needed by consumers that re-propagate
-  /// increments against them (timing::Analyzer's what-if overlay).
+  /// Also return what an incremental what-if re-propagates against: the
+  /// arrival pdf of every node and the through pdf of every arc
+  /// (FullSstaResult::node_pdf / arc_pdf), taken from the same pass. Off by
+  /// default: only the FULLSSTA analyzer's what-if overlay needs them.
   bool keep_node_pdfs = false;
   /// Worker threads for the arrival-pdf propagation — the full sweep and the
   /// FULLSSTA analyzer's what-if cone replay: gates of one level fan across
@@ -41,6 +42,9 @@ struct FullSstaResult {
   std::vector<sta::NodeMoments> node;
   /// Arrival pdf per node (indexed by GateId; only if keep_node_pdfs).
   std::vector<pdf::DiscretePdf> node_pdf;
+  /// Through pdf per arc, arrival(fanin) (+) Normal(d, sigma) (indexed like
+  /// TimingContext::arc_offset; only if keep_node_pdfs).
+  std::vector<pdf::DiscretePdf> arc_pdf;
   /// Arrival pdf of the statistical max over all primary outputs: the random
   /// variable RV_O that "characterizes the mean and variance of the entire
   /// circuit" (paper section 2.1).
@@ -49,25 +53,27 @@ struct FullSstaResult {
   double sigma_ps = 0.0;
 };
 
-/// The one gate-pdf kernel: the arrival pdf of gate @p g (which has fanins)
-/// as the statistical max over its arcs of arrival_in (+) Normal(d, sigma).
-/// @p arrival_of maps a fanin to its arrival pdf; @p arc_delay / @p arc_sigma
-/// are the gate's arc slots. run_fullssta passes the snapshot and its own
-/// arrivals; the FULLSSTA what-if passes its cone overlay.
-template <typename ArrivalOf>
-[[nodiscard]] pdf::DiscretePdf gate_arrival_pdf(const netlist::Gate& g,
-                                                const double* arc_delay,
-                                                const double* arc_sigma,
-                                                ArrivalOf&& arrival_of,
-                                                const FullSstaOptions& options) {
-  const std::size_t samples = options.samples_per_pdf;
-  pdf::DiscretePdf acc;
-  for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-    const pdf::DiscretePdf delay =
-        pdf::DiscretePdf::normal(arc_delay[i], arc_sigma[i], samples, options.span_sigmas);
-    pdf::DiscretePdf through = pdf::sum(arrival_of(g.fanins[i]), delay, samples);
-    acc = (i == 0) ? std::move(through) : pdf::max(acc, through, samples);
-  }
+/// Arc kernel: the "through" pdf of one arc, the fanin's arrival @p arrival
+/// (+) Normal(@p delay, @p sigma) on the options' grid.
+[[nodiscard]] inline pdf::DiscretePdf through_pdf(const pdf::DiscretePdf& arrival, double delay,
+                                                  double sigma, const FullSstaOptions& options) {
+  return pdf::sum(arrival,
+                  pdf::DiscretePdf::normal(delay, sigma, options.samples_per_pdf,
+                                           options.span_sigmas),
+                  options.samples_per_pdf);
+}
+
+/// The one gate-pdf kernel: the arrival pdf of a gate with @p fanin_count
+/// arcs (at least one) as the statistical max, in fanin order, of its arcs'
+/// through pdfs. @p through_of(i) yields arc i's through pdf, by value or by
+/// const reference: run_fullssta computes each with through_pdf (keeping a
+/// copy when asked), the FULLSSTA what-if reuses its analyzer's per-arc memo
+/// where an arc and its fanin are unchanged.
+template <typename ThroughOf>
+[[nodiscard]] pdf::DiscretePdf gate_arrival_pdf(std::size_t fanin_count, ThroughOf&& through_of,
+                                                std::size_t samples) {
+  pdf::DiscretePdf acc = through_of(0);
+  for (std::size_t i = 1; i < fanin_count; ++i) acc = pdf::max(acc, through_of(i), samples);
   if constexpr (debug::kParanoid) {
     // Exceptions from a wavefront worker are captured and rethrown on the
     // calling thread by parallel_for, so the audit is safe in both modes.
@@ -98,8 +104,14 @@ template <typename ArrivalOf>
 /// and positive. run_fullssta and the "fullssta" analyzer factory call it.
 void check_options(const FullSstaOptions& options);
 
-/// Runs discrete-pdf SSTA over the whole netlist.
+/// Runs discrete-pdf SSTA over the whole netlist. With keep_node_pdfs, the
+/// node_pdf / arc_pdf of @p buffers (an earlier result) are refilled in
+/// place: each kept pdf is copied into its entry, reusing that entry's
+/// allocation, so a caller that re-analyzes keeps one long-lived buffer per
+/// node and arc instead of a fresh set scattered over the allocator on every
+/// pass.
 [[nodiscard]] FullSstaResult run_fullssta(const sta::TimingContext& ctx,
-                                          const FullSstaOptions& options = {});
+                                          const FullSstaOptions& options = {},
+                                          FullSstaResult buffers = {});
 
 }  // namespace statsizer::ssta

@@ -68,7 +68,11 @@ void ConeSnapshot::propagate(const sta::TimingContext& ctx, std::span<const Resi
   std::vector<std::uint32_t> cursor(level_offset.begin(), level_offset.end() - 1);
   std::vector<GateId> discovered = std::move(level_gates);
   level_gates.assign(discovered.size(), netlist::kNoGate);
-  for (const GateId g : discovered) level_gates[cursor[lv.level_of[g]]++] = g;
+  slot.resize(n);
+  for (const GateId g : discovered) {
+    slot[g] = cursor[lv.level_of[g]]++;
+    level_gates[slot[g]] = g;
+  }
 
   // The relax kernel update() runs, over the dirty schedule: loads from the
   // overlay where re-folded, fanin slews from the overlay where dirty.

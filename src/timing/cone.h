@@ -58,6 +58,9 @@ struct ConeSnapshot {
   /// replays over.
   std::vector<std::uint32_t> level_offset;
   std::vector<netlist::GateId> level_gates;
+  /// Position of each dirty node in level_gates (valid where dirty): the
+  /// cone slot engine halves index their compact overlays by.
+  std::vector<std::uint32_t> slot;
 
   [[nodiscard]] sta::LevelSchedule schedule() const {
     return sta::LevelSchedule{level_offset, level_gates};

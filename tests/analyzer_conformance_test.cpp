@@ -14,8 +14,10 @@
 // concurrent speculative scoring is thread-count-invariant, and a committed
 // overlay equals the from-scratch run (arrival moments, output pdf, mean,
 // sigma, snapshot).
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -385,6 +387,118 @@ TEST_P(FullSstaWhatIf, ConcurrentScoringIsThreadCountInvariant) {
     const auto parallel = score_all(threads);
     EXPECT_EQ(parallel.first, reference.first) << "threads=" << threads;
     EXPECT_EQ(parallel.second, reference.second) << "threads=" << threads;
+  }
+}
+
+TEST_P(FullSstaWhatIf, RandomCommitChainMatchesFreshAnalyze) {
+  Bench b(circuit());
+  auto an = make_analyzer(engine());
+  (void)an->analyze(*b.ctx);
+
+  std::vector<GateId> resizable;
+  for (GateId g = 0; g < b.nl.node_count(); ++g) {
+    if (b.ctx->has_cell(g) && b.lib.group(b.nl.gate(g).cell_group).size_count() >= 2) {
+      resizable.push_back(g);
+    }
+  }
+  ASSERT_GE(resizable.size(), 4u);
+  std::mt19937 rng(20261019);
+  const auto random_resizes = [&](std::size_t count) {
+    std::vector<Resize> out;
+    while (out.size() < count) {
+      const GateId g = resizable[rng() % resizable.size()];
+      if (std::any_of(out.begin(), out.end(), [&](const Resize& r) { return r.gate == g; })) {
+        continue;
+      }
+      const auto sizes = b.lib.group(b.nl.gate(g).cell_group).size_count();
+      auto size = static_cast<std::uint16_t>(rng() % sizes);
+      if (size == b.nl.gate(g).size_index) size = static_cast<std::uint16_t>((size + 1) % sizes);
+      out.push_back(Resize{g, size});
+    }
+    return out;
+  };
+
+  // Single and multi-resize commits, with what-ifs scored between them; the
+  // last commit restores the first one's gates, so arcs return to earlier
+  // (d, sigma) values after their memo entries were rewritten.
+  std::vector<Resize> first_restore;
+  for (int step = 0; step < 8; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    if (step == 4) (void)an->analyze(*b.ctx);  // a re-analysis mid-chain refills the base
+    for (int k = 0; k < 3; ++k) {
+      const std::vector<Resize> probe = random_resizes(1 + rng() % 3);
+      auto spec = an->propose_resizes(probe);
+      const Summary& scored = spec->score();
+      const Summary reference = analyze_twin(b.nl.sizes(), probe);
+      EXPECT_EQ(scored.mean_ps, reference.mean_ps);
+      EXPECT_EQ(scored.sigma_ps, reference.sigma_ps);
+      spec->rollback();
+    }
+    std::vector<Resize> commit = step == 7 ? first_restore : random_resizes(1 + step % 4);
+    std::vector<Resize> undo;
+    for (const Resize& r : commit) undo.push_back(Resize{r.gate, b.nl.gate(r.gate).size_index});
+    if (step == 0) first_restore = undo;
+    auto spec = an->propose_resizes(commit);
+    if (step % 2 == 0) (void)spec->score();  // odd steps commit unscored
+    spec->commit();
+    Fingerprint twin_snapshot;
+    const Summary reference = analyze_twin(b.nl.sizes(), {}, &twin_snapshot);
+    expect_summaries_equal(an->current(), reference);
+    EXPECT_EQ(fingerprint(*b.ctx), twin_snapshot);
+
+    // A what-if undoing the commit returns arcs to their pre-commit (d,
+    // sigma), which the memo must no longer be keyed on.
+    auto back = an->propose_resizes(undo);
+    const Summary& undone = back->score();
+    const Summary undo_reference = analyze_twin(b.nl.sizes(), undo);
+    EXPECT_EQ(undone.mean_ps, undo_reference.mean_ps);
+    EXPECT_EQ(undone.sigma_ps, undo_reference.sigma_ps);
+  }
+}
+
+TEST_P(FullSstaWhatIf, StaleBaseBatchVerifyMatchesFreshAnalyze) {
+  // recover_area's chunk verification: the analyzer under test holds a
+  // checkpoint base while a screen engine commits downsizes to the shared
+  // context; the analyzer then scores and commits the pending batch (every
+  // resize names its gate's current size) from the stale base.
+  for (const char* screen_engine : {"dsta", "fassta"}) {
+    SCOPED_TRACE(screen_engine);
+    Bench b(circuit());
+    auto an = make_analyzer(engine());
+    (void)an->analyze(*b.ctx);
+    auto screen = make_analyzer(screen_engine);
+    (void)screen->analyze(*b.ctx);
+
+    std::vector<Resize> pending;
+    for (const Candidate& c : some_candidates(*b.ctx, 6)) {
+      const std::uint16_t current = b.nl.gate(c.gate).size_index;
+      const auto down = static_cast<std::uint16_t>(current > 0 ? current - 1 : c.size);
+      auto spec = screen->propose(c.gate, down);
+      (void)spec->score();
+      spec->commit();
+      pending.push_back(Resize{c.gate, down});
+    }
+    ASSERT_GE(pending.size(), 2u);
+
+    auto verify = an->propose_resizes(pending);
+    const Summary& scored = verify->score();
+    Fingerprint twin_snapshot;
+    const Summary reference = analyze_twin(b.nl.sizes(), {}, &twin_snapshot);
+    EXPECT_EQ(scored.mean_ps, reference.mean_ps);
+    EXPECT_EQ(scored.sigma_ps, reference.sigma_ps);
+    verify->commit();
+    expect_summaries_equal(an->current(), reference);
+    EXPECT_EQ(fingerprint(*b.ctx), twin_snapshot);
+
+    // The merged base serves later what-ifs exactly.
+    for (const Candidate& c : some_candidates(*b.ctx, 8)) {
+      auto spec = an->propose(c.gate, c.size);
+      const Summary& what_if = spec->score();
+      const Resize r{c.gate, c.size};
+      const Summary expected = analyze_twin(b.nl.sizes(), std::span<const Resize>(&r, 1));
+      EXPECT_EQ(what_if.mean_ps, expected.mean_ps) << "gate " << c.gate;
+      EXPECT_EQ(what_if.sigma_ps, expected.sigma_ps) << "gate " << c.gate;
+    }
   }
 }
 

@@ -152,6 +152,7 @@ ssta::FullSstaResult reference_fullssta(const sta::TimingContext& ctx,
   ssta::FullSstaResult result;
   result.node.assign(nl.node_count(), sta::NodeMoments{});
   std::vector<DiscretePdf> arrival(nl.node_count(), DiscretePdf::point(0.0));
+  if (options.keep_node_pdfs) result.arc_pdf.resize(ctx.arc_count());
   for (const GateId id : netlist::topological_order(nl)) {
     const auto& g = nl.gate(id);
     if (g.fanins.empty()) continue;
@@ -160,6 +161,7 @@ ssta::FullSstaResult reference_fullssta(const sta::TimingContext& ctx,
       const DiscretePdf delay = DiscretePdf::normal(
           ctx.arc_delay_ps(id, i), ctx.arc_sigma_ps(id, i), samples, options.span_sigmas);
       const DiscretePdf through = pdf::sum(arrival[g.fanins[i]], delay, samples);
+      if (options.keep_node_pdfs) result.arc_pdf[ctx.arc_offset(id) + i] = through;
       acc = (i == 0) ? through : pdf::max(acc, through, samples);
     }
     result.node[id] = sta::NodeMoments{acc.mean(), acc.stddev()};
@@ -216,6 +218,10 @@ void expect_fullssta_eq(const ssta::FullSstaResult& a, const ssta::FullSstaResul
   for (std::size_t i = 0; i < a.node_pdf.size(); ++i) {
     expect_pdf_eq(a.node_pdf[i], b.node_pdf[i]);
   }
+  ASSERT_EQ(a.arc_pdf.size(), b.arc_pdf.size());
+  for (std::size_t i = 0; i < a.arc_pdf.size(); ++i) {
+    expect_pdf_eq(a.arc_pdf[i], b.arc_pdf[i]);
+  }
 }
 
 class LevelizedUpdate : public ::testing::TestWithParam<int> {};
@@ -260,11 +266,13 @@ TEST_P(LevelizedUpdate, FullSstaMatchesPrePrSerialReferenceAcrossThreadCounts) {
   opt.keep_node_pdfs = true;
   const ssta::FullSstaResult ref = reference_fullssta(*b.ctx, opt);
 
+  ssta::FullSstaResult previous;  // each pass refills the last one's pdf buffers
   for (const std::size_t threads : {1u, 2u, 8u, 0u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ssta::FullSstaOptions topt = opt;
     topt.threads = threads;
-    expect_fullssta_eq(ssta::run_fullssta(*b.ctx, topt), ref);
+    previous = ssta::run_fullssta(*b.ctx, topt, std::move(previous));
+    expect_fullssta_eq(previous, ref);
   }
 
   // Forced wavefront on a context whose cutoff admits every level.

@@ -672,6 +672,67 @@ TEST(ServeServer, RejectsUnrepresentableDeadlineAndPriority) {
   EXPECT_TRUE(ok_of(responses[8]));  // quit
 }
 
+TEST(ServeServer, RejectsOutOfRangeWhatIfSizes) {
+  const std::string gate = whatif_targets("c432", 1)[0];
+  ServerOptions options;
+  Server server(options);
+  // 65537 used to wrap to size 1 and answer ok; negative, fractional and
+  // 1e300 sizes reached the same unchecked 16-bit cast.
+  const std::string g = "\"gate\":\"" + gate + "\"";
+  const auto responses = run_script(
+      server,
+      "{\"id\":1,\"op\":\"load\",\"workload\":\"c432\"}\n"
+      "{\"id\":2,\"op\":\"whatif\"," + g + ",\"size\":65537}\n"
+      "{\"id\":3,\"op\":\"whatif\"," + g + ",\"size\":-1}\n"
+      "{\"id\":4,\"op\":\"whatif\"," + g + ",\"size\":1e300}\n"
+      "{\"id\":5,\"op\":\"whatif\"," + g + ",\"size\":1.5}\n"
+      "{\"id\":6,\"op\":\"whatif\",\"resizes\":[{" + g + ",\"size\":1},{" + g +
+          ",\"size\":70000}]}\n"
+      "{\"id\":7,\"op\":\"whatif\"," + g + ",\"size\":1}\n"
+      "{\"id\":8,\"op\":\"quit\"}\n");
+  ASSERT_EQ(responses.size(), 8u);
+  EXPECT_TRUE(ok_of(responses[0]));
+  const char* fields[] = {"'size'", "'size'", "'size'", "'size'", "'resizes[1].size'"};
+  for (std::size_t i = 1; i <= 5; ++i) {
+    EXPECT_FALSE(ok_of(responses[i])) << i;
+    EXPECT_EQ(string_at(responses[i], "code"), "invalid_argument") << i;
+    EXPECT_NE(string_at(responses[i], "error").find(fields[i - 1]), std::string::npos)
+        << responses[i].dump();
+  }
+  EXPECT_TRUE(ok_of(responses[6]));  // an in-range size still serves
+  EXPECT_TRUE(ok_of(responses[7]));  // quit
+}
+
+TEST(ServeServer, RejectsWrongTypedFields) {
+  ServerOptions options;
+  Server server(options);
+  // Each field used to fall back to its default when present with the wrong
+  // JSON type: a string deadline_ms ran a full yield with no deadline.
+  const auto responses = run_script(
+      server,
+      "{\"id\":1,\"op\":\"load\",\"workload\":\"c432\"}\n"
+      "{\"id\":2,\"op\":\"yield\",\"deadline_ms\":\"1\"}\n"
+      "{\"id\":3,\"op\":\"info\",\"priority\":\"9\"}\n"
+      "{\"id\":4,\"op\":\"info\",\"session\":7}\n"
+      "{\"id\":5,\"op\":\"load\",\"workload\":\"c432\",\"baseline\":\"yes\"}\n"
+      "{\"id\":6,\"op\":\"yield\",\"clock_period_ps\":\"900\"}\n"
+      "{\"id\":7,\"op\":true}\n"
+      "{\"id\":8,\"op\":\"info\",\"session\":\"default\",\"priority\":2}\n"
+      "{\"id\":9,\"op\":\"quit\"}\n");
+  ASSERT_EQ(responses.size(), 9u);
+  EXPECT_TRUE(ok_of(responses[0]));
+  const char* fields[] = {"'deadline_ms'", "'priority'", "'session'",
+                          "'baseline'",    "'clock_period_ps'", "'op'"};
+  for (std::size_t i = 1; i <= 6; ++i) {
+    EXPECT_FALSE(ok_of(responses[i])) << i;
+    EXPECT_EQ(string_at(responses[i], "code"), "invalid_argument") << i;
+    EXPECT_NE(string_at(responses[i], "error").find(fields[i - 1]), std::string::npos)
+        << responses[i].dump();
+  }
+  EXPECT_TRUE(ok_of(responses[7]));  // well-typed fields still serve
+  EXPECT_TRUE(ok_of(responses[8]));  // quit
+}
+
 TEST(ServeServer, ShedsWhenTheQueueIsFullWithRetryAfter) {
   ServerOptions options;
   options.threads = 1;
